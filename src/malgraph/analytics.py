@@ -5,6 +5,16 @@ graph with self-loops dropped.  Closeness uses the reachable-set-scaled
 (Wasserman–Faust) form so disconnected graphs still get finite values;
 betweenness uses Brandes' accumulation with each unordered pair counted once,
 normalized by 2/((n-1)(n-2)).
+
+Both come from one numpy kernel: level-synchronous multi-source Brandes
+(Brandes 2001, run as in the Combinatorial BLAS, Buluç & Gilbert 2011).  It
+traverses a block of sources at once over the sorted arc arrays, counting
+shortest paths σ forward level by level and adding the dependencies δ back
+from the deepest level.  Closeness reads the same hop distances, with integer
+reach counts and distance sums.  Path counts can pass float64's range, so a
+level's σ is rescaled by a power of two per source once it grows large, and
+the exponents are carried into the σ ratios of the backward pass; scaling by
+powers of two is exact, so no value moves where nothing would overflow.
 """
 
 from __future__ import annotations
@@ -12,7 +22,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -119,91 +128,106 @@ def one_hot(node_ops, size: int) -> np.ndarray:
 
 # --- topology ---------------------------------------------------------------
 
-def _simple_adjacency(g: DepGraph) -> list[set]:
-    adj = [set() for _ in range(g.num_nodes)]
-    for e in g.edges:
-        if e.src != e.dst:
-            adj[e.src].add(e.dst)
-            adj[e.dst].add(e.src)
-    return adj
+# A block takes as many sources as keep sources × max(directed arcs, nodes)
+# under this many cells; that bounds the kernel's memory for any graph size.
+_BLOCK_CELLS = 1 << 16
+# A level whose largest path count exceeds this is rescaled by powers of two,
+# leaving room for the next level's sums before float64 overflows.
+_SIGMA_RESCALE = 2.0 ** 512
 
 
-def _bfs_distances(adj, start: int) -> dict:
-    dist = {start: 0}
-    q = deque([start])
-    while q:
-        v = q.popleft()
-        for w in adj[v]:
-            if w not in dist:
-                dist[w] = dist[v] + 1
-                q.append(w)
-    return dist
+def _brandes_block(sources, indptr, step):
+    """Level-synchronous Brandes from every one of `sources` at once.
+
+    A (source b, node v) pair is the flat id b*n + v, so one gather over the
+    CSR arcs (`step` is head minus tail) expands every BFS frontier of the
+    block.  Returns the (len(sources), n) hop distances, -1 where unreached,
+    and the dependencies δ_s(v) of each source s on every node v.
+    """
+    n = len(indptr) - 1
+    deg = np.diff(indptr)
+    size = len(sources) * n
+    frontier = np.arange(len(sources)) * n + sources
+    dist = np.full(size, -1, dtype=np.int64)
+    sigma = np.zeros(size)
+    slot = np.empty(size, dtype=np.intp)
+    dist[frontier] = 0
+    sigma[frontier] = 1.0
+    levels = []
+    depth = 0
+    while frontier.size:
+        node = frontier % n
+        count = deg[node]
+        v = np.repeat(frontier, count)
+        arc = np.repeat(indptr[node] - np.cumsum(count) + count, count) + np.arange(v.size)
+        w = v + step[arc]
+        fresh = dist[w] < 0  # arcs into the next level: shortest-path DAG arcs
+        v, w = v[fresh], w[fresh]
+        depth += 1
+        dist[w] = depth
+        np.add.at(sigma, w, sigma[v])
+        # dedupe without sorting: one of each id's arcs wins the scatter
+        pos = np.arange(w.size)
+        slot[w] = pos
+        frontier = w[slot[w] == pos]
+        shift = None
+        if frontier.size and sigma[frontier].max() > _SIGMA_RESCALE:
+            # σ_true = σ · 2^(exponents so far); scaling by 2^k is exact
+            top = np.zeros(len(sources))
+            np.maximum.at(top, frontier // n, sigma[frontier])
+            shift = np.frexp(top)[1]
+            sigma[frontier] = np.ldexp(sigma[frontier], -shift[frontier // n])
+        levels.append((v, w, shift))
+    delta = np.zeros(size)
+    for v, w, shift in reversed(levels):
+        ratio = sigma[v] / sigma[w]
+        if shift is not None:
+            ratio = np.ldexp(ratio, -shift[w // n])
+        np.add.at(delta, v, ratio * (1.0 + delta[w]))
+    return dist.reshape(-1, n), delta.reshape(-1, n)
 
 
-def _closeness(adj, n: int) -> list[float]:
-    out = []
-    for v in range(n):
-        dist = _bfs_distances(adj, v)
-        r = len(dist)
-        if r <= 1:
-            out.append(0.0)
-            continue
-        total = sum(dist.values())
-        out.append(((r - 1) / total) * ((r - 1) / (n - 1)))
-    return out
-
-
-def _betweenness(adj, n: int) -> list[float]:
-    """Brandes (2001); returns normalized scores, pairs counted once."""
-    cb = [0.0] * n
-    for s in range(n):
-        stack = []
-        preds = [[] for _ in range(n)]
-        sigma = [0] * n
-        sigma[s] = 1
-        dist = [-1] * n
-        dist[s] = 0
-        q = deque([s])
-        while q:
-            v = q.popleft()
-            stack.append(v)
-            for w in adj[v]:
-                if dist[w] < 0:
-                    dist[w] = dist[v] + 1
-                    q.append(w)
-                if dist[w] == dist[v] + 1:
-                    sigma[w] += sigma[v]
-                    preds[w].append(v)
-        delta = [0.0] * n
-        while stack:
-            w = stack.pop()
-            for v in preds[w]:
-                delta[v] += sigma[v] / sigma[w] * (1 + delta[w])
-            if w != s:
-                cb[w] += delta[w]
-    if n <= 2:
-        return [0.0] * n
+def _centralities(g: DepGraph):
+    """Per-node (degree, closeness, betweenness) arrays of a non-empty graph."""
+    n = g.num_nodes
+    ends = np.array([(e.src, e.dst) for e in g.edges], dtype=np.int64).reshape(-1, 2)
+    ends = ends[ends[:, 0] != ends[:, 1]]
+    key = np.unique(np.concatenate([ends[:, 0] * n + ends[:, 1],
+                                    ends[:, 1] * n + ends[:, 0]]))
+    tail, head = np.divmod(key, n)
+    step = head - tail
+    deg = np.bincount(tail, minlength=n)
+    indptr = np.concatenate(([0], np.cumsum(deg)))
+    closeness = np.zeros(n)
+    cb = np.zeros(n)
+    block = max(1, _BLOCK_CELLS // max(len(key), n))
+    for first in range(0, n, block):
+        sources = np.arange(first, min(first + block, n))
+        dist, delta = _brandes_block(sources, indptr, step)
+        reached = dist >= 0
+        r = reached.sum(axis=1)
+        total = np.where(reached, dist, 0).sum(axis=1)
+        ok = r > 1
+        closeness[sources[ok]] = ((r[ok] - 1) / total[ok]) * ((r[ok] - 1) / (n - 1))
+        delta[np.arange(len(sources)), sources] = 0.0
+        cb += delta.sum(axis=0)
     # each unordered pair was accumulated from both endpoints
-    scale = 1.0 / ((n - 1) * (n - 2))
-    return [c * scale for c in cb]
+    betweenness = cb * (1.0 / ((n - 1) * (n - 2))) if n > 2 else np.zeros(n)
+    return deg / max(n - 1, 1), closeness, betweenness
 
 
 def topo_features(g: DepGraph) -> TopoFeatures:
     if not g.nodes:
         raise EmptyGraph(f"no topology for empty graph {g.origin!r}")
     n = g.num_nodes
-    adj = _simple_adjacency(g)
-    if n == 1:
-        return TopoFeatures(1, g.num_edges, 0.0, 0.0, 0.0)
-    degree = [len(adj[v]) / (n - 1) for v in range(n)]
-    closeness = _closeness(adj, n)
-    betweenness = _betweenness(adj, n)
+    degree, closeness, betweenness = _centralities(g)
+    # Python's left-to-right sum, so the averages match a per-node loop exactly
     return TopoFeatures(
         num_nodes=n,
         num_edges=g.num_edges,
-        avg_degree_centrality=sum(degree) / n,
-        avg_closeness_centrality=sum(closeness) / n,
-        avg_betweenness_centrality=sum(betweenness) / n,
+        avg_degree_centrality=sum(degree.tolist()) / n,
+        avg_closeness_centrality=sum(closeness.tolist()) / n,
+        avg_betweenness_centrality=sum(betweenness.tolist()) / n,
     )
 
 

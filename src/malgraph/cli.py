@@ -3,7 +3,8 @@
 Subcommands: ``compile`` (IR/trace text to graph JSON), ``corpus`` (synthetic
 dataset), ``train``, ``predict``, ``eval``, and ``features``.  Exit codes:
 0 success, 1 operational error (unreadable or malformed input), 2 usage error
-(bad flags).  ``MGN_THREADS`` caps the worker pool used for per-file fan-out.
+(bad flags).  ``MGN_THREADS`` caps the worker pool that ``compile`` and
+manifest loading fan files out to; ``features`` computes serially.
 """
 
 from __future__ import annotations
@@ -183,8 +184,7 @@ def cmd_features(args) -> int:
         graphs = [load_graph(p) for p in args.graphs]
         origins = [str(p) for p in args.graphs]
         labels = [g.label for g in graphs]
-    with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-        feats = list(pool.map(topo_features, graphs))
+    feats = [topo_features(g) for g in graphs]
     text = export_features_csv(zip(origins, labels, feats))
     if args.csv:
         try:

@@ -434,6 +434,8 @@ def model_from_json(data):
     shapes = _expected_shapes(arch)
     sage_w_list = w.get("sage_W") or []
     sage_b_list = w.get("sage_b") or []
+    if not isinstance(sage_w_list, list) or not isinstance(sage_b_list, list):
+        raise GraphFormatError("sage_W and sage_b must be arrays of per-layer tensors")
     if len(sage_w_list) != arch.num_sage_layers or len(sage_b_list) != arch.num_sage_layers:
         raise ShapeMismatch(
             f"expected {arch.num_sage_layers} sage layers, found "

@@ -14,9 +14,7 @@ import pytest
 
 from malgraph.analytics import (
     GraphSample,
-    _betweenness,
-    _closeness,
-    _simple_adjacency,
+    _centralities,
     build_vocab,
     encode,
     topo_features,
@@ -301,13 +299,9 @@ def test_centralities_match_enumeration_oracle():
     for i in range(50):
         rng = np.random.default_rng(4000 + i)
         g = _random_depgraph(rng)
-        n = g.num_nodes
         deg_o, clo_o, bet_o = _centrality_oracles(g)
 
-        adj = _simple_adjacency(g)
-        deg_impl = [len(adj[v]) / (n - 1) for v in range(n)]
-        clo_impl = _closeness(adj, n)
-        bet_impl = _betweenness(adj, n)
+        deg_impl, clo_impl, bet_impl = _centralities(g)
 
         assert np.allclose(deg_impl, deg_o, atol=CENTRALITY_TOL, rtol=0)
         assert np.allclose(clo_impl, clo_o, atol=CENTRALITY_TOL, rtol=0)
@@ -317,6 +311,24 @@ def test_centralities_match_enumeration_oracle():
         assert abs(tf.avg_degree_centrality - np.mean(deg_o)) < CENTRALITY_TOL
         assert abs(tf.avg_closeness_centrality - np.mean(clo_o)) < CENTRALITY_TOL
         assert abs(tf.avg_betweenness_centrality - np.mean(bet_o)) < CENTRALITY_TOL
+
+
+def test_betweenness_exact_when_path_counts_exceed_float64():
+    # 0 → 700 fully joined layers of 3 → last node: about 3^700 shortest
+    # paths end to end, far past float64's largest value.  The pin is the
+    # exact-integer Brandes result.
+    layers, width = 700, 3
+    n = 2 + layers * width
+    pairs = [(0, 1 + j) for j in range(width)]
+    for k in range(layers - 1):
+        a = 1 + k * width
+        pairs += [(a + i, a + width + j) for i in range(width) for j in range(width)]
+    last = 1 + (layers - 1) * width
+    pairs += [(last + j, n - 1) for j in range(width)]
+    nodes = tuple(DepNode(i, "add", INT64) for i in range(n))
+    edges = tuple(DepEdge(a, b, 8, "data") for a, b in pairs)
+    tf = topo_features(DepGraph(nodes=nodes, edges=edges))
+    assert abs(tf.avg_betweenness_centrality - 0.11079465730981769) < CENTRALITY_TOL
 
 
 def test_path_graph_closed_forms():

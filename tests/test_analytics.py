@@ -8,9 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from malgraph import analytics
 from malgraph.analytics import (
     FEATURES_CSV_HEADER,
     OpVocabulary,
+    _centralities,
     build_vocab,
     encode,
     export_features_csv,
@@ -233,6 +235,52 @@ def test_betweenness_matches_sigma_oracle_up_to_50_nodes():
         tf = topo_features(make_graph(n, pairs))
         sig = betweenness_sigma_oracle(n, pairs)
         assert tf.avg_betweenness_centrality == pytest.approx(sum(sig) / n, abs=1e-9)
+
+
+def _block_test_graphs():
+    """Disconnected graphs, isolated nodes, self-loops and duplicate edges."""
+    rng = random.Random(321)
+    graphs = [
+        (7, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5)]),    # two components + isolated 6
+        (6, [(0, 1), (1, 0), (1, 1), (1, 2), (2, 3), (3, 3), (0, 2)]),
+        (5, []),
+    ]
+    for _ in range(12):
+        n = rng.randint(3, 40)
+        pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 2 * n))]
+        graphs.append((n, pairs))
+    return graphs
+
+
+def _with_duplicate_kinds(n, pairs):
+    """Every (u, v) pair as both a data and a memory edge, self-loops kept."""
+    nodes = tuple(DepNode(i, "add", INT32) for i in range(n))
+    edges = tuple(DepEdge(u, v, 4, kind)
+                  for (u, v) in sorted(set(pairs)) for kind in ("data", "memory"))
+    return DepGraph(nodes=nodes, edges=edges)
+
+
+@pytest.mark.parametrize("cells", [1, 100, 400])
+def test_centralities_across_source_blocks_match_oracles(monkeypatch, cells):
+    # a few sources per block, so most graphs span several blocks
+    monkeypatch.setattr(analytics, "_BLOCK_CELLS", cells)
+    for n, pairs in _block_test_graphs():
+        deg, clo, bet = _centralities(_with_duplicate_kinds(n, pairs))
+        assert deg.tolist() == [len(a) / (n - 1) for a in undirected_sets(n, pairs)]
+        assert clo.tolist() == pytest.approx(closeness_oracle(n, pairs), abs=1e-12)
+        assert bet.tolist() == pytest.approx(betweenness_sigma_oracle(n, pairs), abs=1e-9)
+
+
+def test_sigma_rescaling_is_exact(monkeypatch):
+    # rescaling σ at every level must not move a single bit
+    for n, pairs in _block_test_graphs():
+        g = _with_duplicate_kinds(n, pairs)
+        plain = _centralities(g)
+        monkeypatch.setattr(analytics, "_SIGMA_RESCALE", 0.0)
+        rescaled = _centralities(g)
+        monkeypatch.undo()
+        for a, b in zip(plain, rescaled):
+            assert np.array_equal(a, b)
 
 
 @given(_random_graph(max_n=12))

@@ -194,6 +194,22 @@ def test_predict_empty_graph_exits_1(trained, tmp_path, capsys):
     assert "empty.json" in err
 
 
+@pytest.mark.parametrize("key, as_dict", [("sage_W", False), ("sage_b", True)])
+def test_predict_non_list_layer_tensors_exits_1(trained, tmp_path, capsys, key, as_dict):
+    model = json.loads((trained / "model.json").read_text())
+    tensors = model["weights"][key]
+    model["weights"][key] = dict(enumerate(tensors)) if as_dict else 5
+    path = tmp_path / "bad_model.json"
+    path.write_text(json.dumps(model))
+    graph = tmp_path / "g.json"
+    save_graph(DepGraph(nodes=(DepNode(0, "add", INT64),), edges=()), graph)
+    code, out, err = run(["predict", "--model", path, graph], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "bad_model.json" in err and key in err
+
+
 # ---------------------------------------------------------------- eval
 
 def test_eval_perfect_model(trained, capsys):
