@@ -21,21 +21,12 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    EmptyDataset,
-    EmptyGraph,
-    GraphFormatError,
-    IoError,
-    MalformedFile,
-    VersionMismatch,
-)
+from .errors import EmptyDataset, EmptyGraph
 from .depgraph import DepGraph
 
 UNK = "<unk>"
@@ -48,7 +39,6 @@ class OpVocabulary:
     """Opcode-name table; index 0 is reserved for unknown operations."""
 
     names: tuple[str, ...]
-    built_from: int = 0
 
     def __post_init__(self):
         if not self.names or self.names[0] != UNK:
@@ -102,7 +92,7 @@ def build_vocab(graphs) -> OpVocabulary:
     for g in graphs:
         ops.update(n.opcode for n in g.nodes)
     ops.discard(UNK)
-    return OpVocabulary(names=(UNK, *sorted(ops)), built_from=len(graphs))
+    return OpVocabulary(names=(UNK, *sorted(ops)))
 
 
 def encode(g: DepGraph, vocab: OpVocabulary) -> GraphSample:
@@ -248,46 +238,3 @@ def export_features_csv(samples) -> str:
         ])
     return buf.getvalue()
 
-
-# --- vocabulary persistence ---------------------------------------------------
-
-def vocab_to_json(v: OpVocabulary) -> bytes:
-    return json.dumps({"version": 1, "names": list(v.names)},
-                      separators=(",", ":")).encode("utf-8")
-
-
-def vocab_from_json(data) -> OpVocabulary:
-    try:
-        obj = json.loads(data)
-    except (json.JSONDecodeError, UnicodeDecodeError) as e:
-        raise GraphFormatError(f"not valid JSON: {e}") from None
-    if not isinstance(obj, dict):
-        raise GraphFormatError("top level must be an object")
-    if obj.get("version") != 1:
-        raise VersionMismatch(f"unsupported vocabulary version {obj.get('version')!r}")
-    names = obj.get("names")
-    if (not isinstance(names, list) or not names
-            or not all(isinstance(s, str) for s in names)):
-        raise GraphFormatError("names must be a non-empty array of strings")
-    try:
-        return OpVocabulary(names=tuple(names))
-    except ValueError as e:
-        raise GraphFormatError(str(e)) from None
-
-
-def save_vocab(v: OpVocabulary, path):
-    try:
-        Path(path).write_bytes(vocab_to_json(v))
-    except OSError as e:
-        raise IoError(f"cannot write {path}: {e}") from None
-
-
-def load_vocab(path) -> OpVocabulary:
-    try:
-        data = Path(path).read_bytes()
-    except OSError as e:
-        raise IoError(f"cannot read {path}: {e}") from None
-    try:
-        return vocab_from_json(data)
-    except (GraphFormatError, VersionMismatch) as e:
-        raise MalformedFile(str(path), str(e)) from None

@@ -1,10 +1,10 @@
 """Command-line front end for the graph pipeline.
 
-Subcommands: ``compile`` (IR/trace text to graph JSON), ``corpus`` (synthetic
-dataset), ``train``, ``predict``, ``eval``, and ``features``.  Exit codes:
-0 success, 1 operational error (unreadable or malformed input), 2 usage error
-(bad flags).  ``MGN_THREADS`` caps the worker pool that ``compile`` and
-manifest loading fan files out to; ``features`` computes serially.
+Subcommands: ``compile`` (IR/trace text, or graph JSON, to canonical graph
+JSON), ``corpus`` (synthetic dataset), ``train``, ``predict``, ``eval``, and
+``features``.  Every command works through its files one at a time.  Exit
+codes: 0 success, 1 operational error (unreadable or malformed input), 2 usage
+error (bad flags).
 """
 
 from __future__ import annotations
@@ -13,23 +13,21 @@ import argparse
 import dataclasses
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .analytics import encode, export_features_csv, topo_features
 from .corpus import CorpusSpec, generate
-from .depgraph import build_graph, load_graph, save_graph
+from .depgraph import load_graph, save_graph
 from .errors import IoError, MalgraphError
-from .ir import parse_ll, parse_trace
 from .pipeline import (
     TrainConfig,
     eval_per_family,
     load_dataset,
     load_manifest,
+    read_graph,
     save_history,
     score_samples,
     train,
-    worker_count,
 )
 from .sage import ArchConfig, load_model, save_model
 
@@ -53,29 +51,6 @@ def _input_files(paths) -> list[Path]:
     return out
 
 
-def _compile_one(path: Path, args):
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as e:
-        raise IoError(f"{path}: {e}") from None
-    try:
-        if path.suffix == ".ll":
-            unit = parse_ll(text, str(path))
-        else:
-            unit = parse_trace(text, str(path))
-        g = build_graph(unit, control_edges=args.control_edges,
-                        memory_edges=args.mem_deps)
-    except MalgraphError as e:
-        raise MalgraphError(f"{path}: {e}") from None
-    if args.label is not None or args.family is not None:
-        g = dataclasses.replace(
-            g,
-            label=g.label if args.label is None else args.label,
-            family=g.family if args.family is None else args.family,
-        )
-    return g
-
-
 def cmd_compile(args) -> int:
     files = _input_files(args.inputs)
     if not files:
@@ -83,8 +58,15 @@ def cmd_compile(args) -> int:
         return 2
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-        graphs = list(pool.map(lambda p: _compile_one(p, args), files))
+    graphs = []
+    for path in files:
+        g = read_graph(path, control_edges=args.control_edges,
+                       memory_edges=args.mem_deps)
+        graphs.append(dataclasses.replace(
+            g,
+            label=g.label if args.label is None else args.label,
+            family=g.family if args.family is None else args.family,
+        ))
     for path, g in zip(files, graphs):
         target = out_dir / (path.stem + ".json")
         save_graph(g, target)
@@ -204,8 +186,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("compile", help="convert .ll/.trace files to graph JSON")
-    p.add_argument("inputs", nargs="+", help=".ll/.trace files or directories")
+    p = sub.add_parser("compile", help="convert .ll/.trace/.json files to graph JSON")
+    p.add_argument("inputs", nargs="+",
+                   help=".ll/.trace/.json files, or directories of .ll/.trace files")
     p.add_argument("--out", default=".", help="output directory for graph JSON")
     p.add_argument("--control-edges", action="store_true",
                    help="add branch-to-successor edges")

@@ -98,17 +98,6 @@ def build_graph(unit: TraceUnit, *, control_edges: bool = False,
     return DepGraph(nodes=nodes, edges=edges, origin=unit.origin)
 
 
-def degree_stats(g: DepGraph) -> dict:
-    """Average degree (2·|E|/|V|, undirected view) and max total degree."""
-    if not g.nodes:
-        raise EmptyGraph("degree_stats of an empty graph")
-    deg = [0] * len(g.nodes)
-    for e in g.edges:
-        deg[e.src] += 1
-        deg[e.dst] += 1
-    return {"avg_degree": 2 * len(g.edges) / len(g.nodes), "max_degree": max(deg)}
-
-
 # --- interchange format -----------------------------------------------------
 
 def to_json(g: DepGraph) -> bytes:

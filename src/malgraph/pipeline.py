@@ -18,7 +18,6 @@ import dataclasses
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -50,8 +49,8 @@ from .sage import (
 
 __all__ = [
     "Manifest", "ManifestEntry", "TrainConfig", "EpochStats", "TrainResult",
-    "EvalReport", "load_manifest", "save_manifest", "load_dataset", "split",
-    "train", "auroc", "metrics", "eval_per_family", "score_samples",
+    "EvalReport", "load_manifest", "save_manifest", "read_graph", "load_dataset",
+    "split", "train", "auroc", "metrics", "eval_per_family", "score_samples",
     "save_history", "save_model", "load_model", "worker_count",
     "HISTORY_CSV_HEADER",
 ]
@@ -131,6 +130,7 @@ def save_manifest(manifest: Manifest, path):
 
 
 def worker_count() -> int:
+    """``MGN_THREADS`` or the CPU count; no command reads ``MGN_THREADS`` any more."""
     raw = os.environ.get("MGN_THREADS")
     if raw is None or not raw.strip():
         return os.cpu_count() or 1
@@ -143,32 +143,39 @@ def worker_count() -> int:
     return value
 
 
-def _load_entry(manifest: Manifest, entry: ManifestEntry,
-                control_edges: bool, memory_edges: bool) -> DepGraph:
-    path = manifest.resolve(entry)
+def read_graph(path, *, control_edges: bool = False,
+               memory_edges: bool = False) -> DepGraph:
+    """The dependency graph of one file, by suffix (compared in lower case).
+
+    ``.json`` is a graph document (the edge flags do not apply), ``.ll`` is
+    static IR, and anything else is a dynamic trace.  Parse errors become
+    ``MalformedFile`` and read errors ``IoError``; both name the path.
+    """
+    path = Path(path)
     suffix = path.suffix.lower()
+    if suffix == ".json":
+        return load_graph(path)
     try:
-        if suffix == ".json":
-            g = load_graph(path)
-        else:
-            try:
-                text = path.read_text(encoding="utf-8")
-            except OSError as e:
-                raise IoError(f"cannot read {path}: {e}") from None
-            unit = parse_ll(text, path) if suffix == ".ll" else parse_trace(text, path)
-            g = build_graph(unit, control_edges=control_edges, memory_edges=memory_edges)
+        text = path.read_text(encoding="utf-8")
+    except OSError as e:
+        raise IoError(f"cannot read {path}: {e}") from None
+    except UnicodeDecodeError as e:
+        raise MalformedFile(str(path), f"not UTF-8 text: {e}") from None
+    try:
+        unit = parse_ll(text, path) if suffix == ".ll" else parse_trace(text, path)
     except (MalformedLine, EmptyUnit) as e:
         raise MalformedFile(str(path), str(e)) from None
-    return dataclasses.replace(g, label=entry.label, family=entry.family)
+    return build_graph(unit, control_edges=control_edges, memory_edges=memory_edges)
 
 
 def load_dataset(manifest: Manifest, *, control_edges: bool = False,
                  memory_edges: bool = False) -> list:
-    """All graphs of a manifest, in manifest order; one worker per file."""
-    with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-        return list(pool.map(
-            lambda e: _load_entry(manifest, e, control_edges, memory_edges),
-            manifest.entries))
+    """All graphs of a manifest, in manifest order, labelled by the manifest."""
+    return [dataclasses.replace(
+                read_graph(manifest.resolve(e), control_edges=control_edges,
+                           memory_edges=memory_edges),
+                label=e.label, family=e.family)
+            for e in manifest.entries]
 
 
 def split(manifest: Manifest, fraction: float, seed: int):

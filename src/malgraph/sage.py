@@ -470,5 +470,5 @@ def load_model(path):
         raise IoError(f"cannot read {path}: {e}") from None
     try:
         return model_from_json(data)
-    except (GraphFormatError, VersionMismatch) as e:
+    except (GraphFormatError, VersionMismatch, ShapeMismatch, VocabMismatch) as e:
         raise MalformedFile(str(path), str(e)) from None

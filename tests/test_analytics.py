@@ -16,21 +16,11 @@ from malgraph.analytics import (
     build_vocab,
     encode,
     export_features_csv,
-    load_vocab,
     one_hot,
-    save_vocab,
     topo_features,
-    vocab_from_json,
-    vocab_to_json,
 )
 from malgraph.depgraph import DepEdge, DepGraph, DepNode
-from malgraph.errors import (
-    EmptyDataset,
-    EmptyGraph,
-    GraphFormatError,
-    MalformedFile,
-    VersionMismatch,
-)
+from malgraph.errors import EmptyDataset, EmptyGraph
 from malgraph.ir import INT32
 
 
@@ -301,7 +291,6 @@ def test_build_vocab_union():
     v = build_vocab([g1, g2])
     assert v.names == ("<unk>", "load", "store", "sub")
     assert v.size == 4
-    assert v.built_from == 2
 
 
 def test_build_vocab_single_op():
@@ -379,33 +368,3 @@ def test_features_csv_many_rows_and_missing_label():
     assert len(lines) == 101
     assert lines[5].startswith("g4,,1,0,")
 
-
-# --- vocabulary persistence -----------------------------------------------------
-
-def test_vocab_json_golden():
-    assert vocab_to_json(OpVocabulary(("<unk>", "add"))) == \
-        b'{"version":1,"names":["<unk>","add"]}'
-
-
-def test_vocab_json_roundtrip(tmp_path):
-    v = OpVocabulary(("<unk>", "add", "load", "sub"), built_from=7)
-    back = vocab_from_json(vocab_to_json(v))
-    assert back.names == v.names  # built_from is not persisted
-    p = tmp_path / "vocab.json"
-    save_vocab(v, p)
-    assert load_vocab(p).names == v.names
-
-
-def test_vocab_json_rejections(tmp_path):
-    with pytest.raises(VersionMismatch):
-        vocab_from_json(b'{"version":9,"names":["<unk>"]}')
-    with pytest.raises(GraphFormatError):
-        vocab_from_json(b'{"version":1,"names":[]}')
-    with pytest.raises(GraphFormatError):
-        vocab_from_json(b'{"version":1,"names":["add","<unk>"]}')
-    with pytest.raises(GraphFormatError):
-        vocab_from_json(b'{"version":1,"names":["<unk>","z","a"]}')
-    bad = tmp_path / "v.json"
-    bad.write_bytes(b"]]]")
-    with pytest.raises(MalformedFile):
-        load_vocab(bad)

@@ -4,10 +4,14 @@ from pathlib import Path
 import pytest
 
 from malgraph.cli import main
-from malgraph.depgraph import DepEdge, DepGraph, DepNode, save_graph
+from malgraph.depgraph import DepEdge, DepGraph, DepNode, save_graph, to_json
 from malgraph.ir import INT64
+from malgraph.pipeline import Manifest, ManifestEntry, load_dataset
 
 TWO_LINE_TRACE = "%1 = add i64 %in, %in\n%2 = mul i64 %1, %1\n"
+SMALL_LL = ("define i32 @f(i32 %x) {\n  %a = mul i32 %x, %x\n"
+            "  store i32 %a, i32* %p ; addr=0x8\n  %b = load i32, i32* %p ; addr=0x8\n"
+            "  ret i32 %b\n}\n")
 
 
 def run(argv, capsys):
@@ -67,6 +71,45 @@ def test_compile_malformed_names_path_and_line(tmp_path, capsys):
     code, _, err = run(["compile", bad, "--out", tmp_path], capsys)
     assert code == 1
     assert "bad.trace" in err and "line 2" in err
+
+
+def test_compile_non_utf8_exits_1(tmp_path, capsys):
+    bad = tmp_path / "latin.trace"
+    bad.write_bytes(b"%1 = add i64 %a, %b ; caf\xe9\n")
+    code, out, err = run(["compile", bad, "--out", tmp_path], capsys)
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and "latin.trace" in err
+
+
+@pytest.mark.parametrize("name, text", [("u.trace", TWO_LINE_TRACE), ("u.ll", SMALL_LL)],
+                         ids=["trace", "ll"])
+def test_compile_writes_the_graph_load_dataset_builds(tmp_path, capsys, name, text):
+    src = tmp_path / name
+    src.write_text(text)
+    code, _, _ = run(["compile", src, "--out", tmp_path / "out", "--label", "1",
+                      "--family", "worm", "--mem-deps"], capsys)
+    assert code == 0
+    m = Manifest((ManifestEntry(name, 1, "worm"),), str(tmp_path))
+    [g] = load_dataset(m, memory_edges=True)
+    assert (tmp_path / "out" / "u.json").read_bytes() == to_json(g)
+
+
+def test_compile_graph_json_writes_canonical_bytes(tmp_path, capsys):
+    src = tmp_path / "t.trace"
+    src.write_text(TWO_LINE_TRACE)
+    assert run(["compile", src, "--out", tmp_path / "a"], capsys)[0] == 0
+    canonical = (tmp_path / "a" / "t.json").read_bytes()
+    code, out, _ = run(["compile", tmp_path / "a" / "t.json", "--out", tmp_path / "b"],
+                       capsys)
+    assert code == 0 and "2 nodes, 1 edge" in out
+    assert (tmp_path / "b" / "t.json").read_bytes() == canonical
+    # a reordered, indented document of the same graph compiles to the same bytes
+    doc = json.loads(canonical)
+    loose = tmp_path / "loose" / "t.json"
+    loose.parent.mkdir()
+    loose.write_text(json.dumps(dict(reversed(list(doc.items()))), indent=2))
+    assert run(["compile", loose, "--out", tmp_path / "c"], capsys)[0] == 0
+    assert (tmp_path / "c" / "t.json").read_bytes() == canonical
 
 
 def test_compile_attaches_label_and_family(tmp_path, capsys):
@@ -194,20 +237,50 @@ def test_predict_empty_graph_exits_1(trained, tmp_path, capsys):
     assert "empty.json" in err
 
 
+def _predict_with_model(model: dict, tmp_path, capsys):
+    path = tmp_path / "bad_model.json"
+    path.write_text(json.dumps(model))
+    graph = tmp_path / "g.json"
+    save_graph(DepGraph(nodes=(DepNode(0, "add", INT64),), edges=()), graph)
+    return run(["predict", "--model", path, graph], capsys)
+
+
 @pytest.mark.parametrize("key, as_dict", [("sage_W", False), ("sage_b", True)])
 def test_predict_non_list_layer_tensors_exits_1(trained, tmp_path, capsys, key, as_dict):
     model = json.loads((trained / "model.json").read_text())
     tensors = model["weights"][key]
     model["weights"][key] = dict(enumerate(tensors)) if as_dict else 5
-    path = tmp_path / "bad_model.json"
-    path.write_text(json.dumps(model))
-    graph = tmp_path / "g.json"
-    save_graph(DepGraph(nodes=(DepNode(0, "add", INT64),), edges=()), graph)
-    code, out, err = run(["predict", "--model", path, graph], capsys)
+    code, out, err = _predict_with_model(model, tmp_path, capsys)
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "bad_model.json" in err and key in err
+
+
+def _no_sage_weights(model):
+    model["weights"]["sage_W"] = []
+
+
+def _short_vocabulary(model):
+    model["vocab"]["names"] = model["vocab"]["names"][:-1]
+
+
+def _wrong_out_shape(model):
+    model["weights"]["out_W"] = model["weights"]["out_W"][:-1]
+
+
+@pytest.mark.parametrize("corrupt, detail", [
+    (_no_sage_weights, "sage layers"),        # ShapeMismatch: layer count
+    (_short_vocabulary, "vocabulary has"),    # VocabMismatch
+    (_wrong_out_shape, "out_W"),              # ShapeMismatch: tensor shape
+])
+def test_predict_inconsistent_model_names_file(trained, tmp_path, capsys, corrupt, detail):
+    model = json.loads((trained / "model.json").read_text())
+    corrupt(model)
+    code, out, err = _predict_with_model(model, tmp_path, capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "bad_model.json" in err and detail in err
 
 
 # ---------------------------------------------------------------- eval

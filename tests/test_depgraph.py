@@ -13,7 +13,6 @@ from malgraph.depgraph import (
     DepGraph,
     DepNode,
     build_graph,
-    degree_stats,
     from_json,
     load_graph,
     save_graph,
@@ -183,17 +182,6 @@ def test_data_edges_point_forward(lines):
     triples = [(e.src, e.dst, e.kind) for e in g.edges]
     assert len(set(triples)) == len(triples)
     assert triples == sorted(triples)
-
-
-def test_degree_stats():
-    u = parse_trace("%a = add i32 %x, %y\n%b = mul i32 %a, %x", "t")
-    assert degree_stats(build_graph(u)) == {"avg_degree": 1.0, "max_degree": 1}
-    path = "%a = add i32 %x, %y\n%b = mul i32 %a, %x\n%c = mul i32 %b, %x"
-    stats = degree_stats(build_graph(parse_trace(path, "t")))
-    assert stats["avg_degree"] == pytest.approx(4 / 3)
-    assert stats["max_degree"] == 2
-    with pytest.raises(EmptyGraph):
-        degree_stats(DepGraph(nodes=(), edges=()))
 
 
 # --- interchange format -----------------------------------------------------
