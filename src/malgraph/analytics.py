@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import EmptyDataset, EmptyGraph
 from .depgraph import DepGraph
@@ -61,17 +62,37 @@ class OpVocabulary:
 
 @dataclass(frozen=True)
 class GraphSample:
-    """A model-ready graph: vocabulary indices plus kind-erased edges."""
+    """A model-ready graph: vocabulary indices plus kind-erased edges.
+
+    `agg` is the graph's neighbour-mean matrix, built on first use and kept,
+    so every batch and epoch that sees the sample reuses it.
+    """
 
     node_ops: tuple[int, ...]
     edges: tuple[tuple[int, int], ...]
-    edge_weights: tuple[int, ...]
     label: int | None = None
     family: str | None = None
 
     @property
     def num_nodes(self) -> int:
         return len(self.node_ops)
+
+    @cached_property
+    def agg(self) -> sp.csr_matrix:
+        """Row-normalised undirected mean matrix: A[v,u] = 1/|N(v)|.
+
+        N(v) is the set of nodes joined to v by an edge in either direction,
+        a self-loop included; duplicate and reversed edges count once, and an
+        isolated node's row is zero.  Columns are sorted within each row.
+        """
+        n = self.num_nodes
+        ends = np.array(self.edges, dtype=np.int64).reshape(-1, 2)
+        key = np.unique(np.concatenate([ends[:, 1] * n + ends[:, 0],
+                                        ends[:, 0] * n + ends[:, 1]]))
+        row, col = np.divmod(key, n)
+        deg = np.bincount(row, minlength=n)
+        indptr = np.concatenate(([0], np.cumsum(deg)))
+        return sp.csr_matrix((1.0 / deg[row], col, indptr), shape=(n, n))
 
 
 @dataclass(frozen=True)
@@ -102,7 +123,6 @@ def encode(g: DepGraph, vocab: OpVocabulary) -> GraphSample:
     return GraphSample(
         node_ops=tuple(vocab.index_of(n.opcode) for n in g.nodes),
         edges=tuple((e.src, e.dst) for e in g.edges),
-        edge_weights=tuple(e.weight for e in g.edges),
         label=g.label,
         family=g.family,
     )

@@ -45,7 +45,7 @@ def _input_files(paths) -> list[Path]:
         path = Path(p)
         if path.is_dir():
             out.extend(sorted(x for x in path.iterdir()
-                              if x.suffix in (".ll", ".trace")))
+                              if x.suffix.lower() in (".ll", ".trace")))
         else:
             out.append(path)
     return out
@@ -57,7 +57,12 @@ def cmd_compile(args) -> int:
         print("error: no input files", file=sys.stderr)
         return 2
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    targets = {}
+    for path in files:
+        target = out_dir / (path.stem + ".json")
+        if target in targets:
+            raise MalgraphError(f"{targets[target]} and {path} would both write {target}")
+        targets[target] = path
     graphs = []
     for path in files:
         g = read_graph(path, control_edges=args.control_edges,
@@ -67,8 +72,8 @@ def cmd_compile(args) -> int:
             label=g.label if args.label is None else args.label,
             family=g.family if args.family is None else args.family,
         ))
-    for path, g in zip(files, graphs):
-        target = out_dir / (path.stem + ".json")
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for (target, path), g in zip(targets.items(), graphs):
         save_graph(g, target)
         print(f"{path}: {_plural(g.num_nodes, 'node')}, "
               f"{_plural(g.num_edges, 'edge')} -> {target}")

@@ -279,10 +279,9 @@ class EvalReport:
     threshold: float = 0.5
 
 
-def score_samples(params: ModelParams, samples, batch_size: int = 64,
-                  rng=None) -> np.ndarray:
+def score_samples(params: ModelParams, samples, batch_size: int = 64) -> np.ndarray:
     """Scores for a sample list, chunked to bound the disjoint-union size."""
-    chunks = [forward(params, samples[i:i + batch_size], rng=rng)[0]
+    chunks = [forward(params, samples[i:i + batch_size])[0]
               for i in range(0, len(samples), batch_size)]
     return np.concatenate(chunks) if chunks else np.empty(0)
 
@@ -303,7 +302,8 @@ def train(manifest: Manifest, cfg: TrainConfig, *, vocab_scope: str = "train",
     """Split, build vocabulary, train for cfg.epochs, and record history.
 
     The vocabulary is built from the train split only unless
-    vocab_scope="all"; cfg.arch.vocab_size is overridden to match it.
+    vocab_scope="all"; cfg.arch.vocab_size is overridden to match it.  The
+    first step whose loss or gradients are not finite stops the run.
     """
     if vocab_scope not in ("train", "all"):
         raise ValueError("vocab_scope must be 'train' or 'all'")
@@ -328,8 +328,6 @@ def train(manifest: Manifest, cfg: TrainConfig, *, vocab_scope: str = "train",
     params = init_params(arch, cfg.seed)
     state = AdamState.zeros_like(params)
     shuffle_rng = np.random.default_rng([cfg.seed, 1])
-    sample_rng = (np.random.default_rng([cfg.seed, 2])
-                  if arch.sample_cap is not None else None)
 
     history = []
     step = 0
@@ -340,12 +338,17 @@ def train(manifest: Manifest, cfg: TrainConfig, *, vocab_scope: str = "train",
         for lo in range(0, n, cfg.batch_size):
             batch_idx = order[lo:lo + cfg.batch_size]
             batch = [train_samples[i] for i in batch_idx]
-            _, cache = forward(params, batch, rng=sample_rng)
+            _, cache = forward(params, batch)
             loss, grads = backward(params, cache, train_labels[batch_idx])
             step += 1
+            bad = [] if math.isfinite(loss) else ["loss"]
+            bad += [name for name, g in grads.items() if not np.all(np.isfinite(g))]
+            if bad:  # stop a diverged run before Adam spreads it
+                raise MalgraphError(f"training diverged at epoch {epoch}, step {step}: "
+                                    f"non-finite {', '.join(bad)}")
             adam_step(params, grads, state, step, lr=cfg.lr)
             loss_sum += loss * len(batch)
-        scores = score_samples(params, test_samples, cfg.batch_size, rng=sample_rng)
+        scores = score_samples(params, test_samples, cfg.batch_size)
         history.append(EpochStats(
             epoch=epoch,
             train_loss=loss_sum / n,

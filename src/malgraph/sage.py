@@ -7,9 +7,9 @@ sigmoid output unit.  A batch runs as one disjoint union with per-graph
 pooling segments, so batched and per-graph scores agree to float64 rounding.
 
 All math is float64 and hand-differentiated; gradients are validated against
-central finite differences in the test suite.  Neighborhoods are sets under
-the configured view; full neighborhoods are the deterministic default and
-uniform down-sampling is an opt-in (`sample_cap`).
+central finite differences in the test suite.  N(v) is v's full undirected
+neighbour set, so a forward pass is deterministic; each sample carries its
+mean matrix (`GraphSample.agg`), and a batch's matrix is their block diagonal.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from .errors import (
 )
 
 ACTIVATIONS = ("leaky_relu", "relu")
-NEIGHBOR_VIEWS = ("undirected", "directed_in")
 LEAKY_SLOPE = 0.01
 
 
@@ -48,8 +47,6 @@ class ArchConfig:
     num_sage_layers: int = 6
     use_embedding: bool = True
     activation: str = "leaky_relu"
-    neighbor_view: str = "undirected"
-    sample_cap: int | None = None
 
     def __post_init__(self):
         if min(self.vocab_size, self.embed_dim, self.hidden_dim,
@@ -57,10 +54,6 @@ class ArchConfig:
             raise ValueError("all dimensions must be >= 1")
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"activation must be one of {ACTIVATIONS}")
-        if self.neighbor_view not in NEIGHBOR_VIEWS:
-            raise ValueError(f"neighbor_view must be one of {NEIGHBOR_VIEWS}")
-        if self.sample_cap is not None and self.sample_cap < 1:
-            raise ValueError("sample_cap must be >= 1 when present")
 
     @property
     def input_dim(self) -> int:
@@ -120,7 +113,7 @@ def init_params(arch: ArchConfig, seed: int) -> ModelParams:
 def _act(z: np.ndarray, kind: str) -> np.ndarray:
     if kind == "relu":
         return np.maximum(z, 0.0)
-    return np.where(z > 0, z, LEAKY_SLOPE * z)
+    return np.maximum(z, LEAKY_SLOPE * z)
 
 
 def _act_grad(z: np.ndarray, kind: str) -> np.ndarray:
@@ -138,49 +131,6 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def sample_neighbors(neigh, cap: int, rng) -> list:
-    """At most `cap` neighbors, uniform without replacement, order preserved."""
-    if len(neigh) <= cap:
-        return list(neigh)
-    picked = rng.choice(len(neigh), size=cap, replace=False)
-    return [neigh[i] for i in sorted(picked)]
-
-
-def _neighbor_matrix(batch, offsets, arch: ArchConfig, rng) -> sp.csr_matrix:
-    """Row-stochastic-or-zero aggregation matrix A with A[v,u] = 1/|N(v)|."""
-    pairs = set()
-    for off, sample in zip(offsets, batch):
-        for s, d in sample.edges:
-            pairs.add((off + d, off + s))
-            if arch.neighbor_view == "undirected":
-                pairs.add((off + s, off + d))
-    total = offsets[-1] + batch[-1].num_nodes
-
-    neigh: dict[int, list] = {}
-    for v, u in sorted(pairs):
-        neigh.setdefault(v, []).append(u)
-
-    if arch.sample_cap is not None:
-        if rng is None:
-            rng = np.random.default_rng(0)
-        bounds = list(offsets) + [total]
-        for gi, sample in enumerate(batch):
-            avg_deg = 2 * len(sample.edges) / sample.num_nodes
-            cap = min(arch.sample_cap, max(1, math.ceil(avg_deg)))
-            for v in range(bounds[gi], bounds[gi + 1]):
-                if v in neigh and len(neigh[v]) > cap:
-                    neigh[v] = sample_neighbors(neigh[v], cap, rng)
-
-    rows, cols, vals = [], [], []
-    for v, us in neigh.items():
-        w = 1.0 / len(us)
-        for u in us:
-            rows.append(v)
-            cols.append(u)
-            vals.append(w)
-    return sp.csr_matrix((vals, (rows, cols)), shape=(total, total))
-
-
 @dataclass
 class ForwardCache:
     params: ModelParams
@@ -196,7 +146,7 @@ class ForwardCache:
     counts: np.ndarray | None = None
 
 
-def forward(params: ModelParams, batch, rng=None):
+def forward(params: ModelParams, batch):
     """Score a batch of GraphSamples; returns (scores, cache)."""
     batch = list(batch)
     if not batch:
@@ -222,7 +172,7 @@ def forward(params: ModelParams, batch, rng=None):
         cache_idx = None
         h = one_hot(idx, arch.vocab_size)
 
-    agg = _neighbor_matrix(batch, offsets, arch, rng)
+    agg = sp.block_diag([s.agg for s in batch], format="csr")
     cache = ForwardCache(params=params, scores=None, idx=cache_idx,
                          z_embed=z_embed, agg=agg)
     cache.hs.append(h)
@@ -337,8 +287,9 @@ def _arch_to_obj(arch: ArchConfig) -> dict:
         "num_sage_layers": arch.num_sage_layers,
         "use_embedding": arch.use_embedding,
         "activation": arch.activation,
-        "neighbor_view": arch.neighbor_view,
-        "sample_cap": arch.sample_cap,
+        # the format's neighbour keys; each has one supported value
+        "neighbor_view": "undirected",
+        "sample_cap": None,
     }
 
 
@@ -409,8 +360,14 @@ def model_from_json(data):
         if key not in obj:
             raise GraphFormatError(f"missing field {key!r}")
 
+    fields = obj["arch"]
+    if not isinstance(fields, dict):
+        raise GraphFormatError("arch must be an object")
+    for key, only in (("neighbor_view", "undirected"), ("sample_cap", None)):
+        if key in fields and fields.pop(key) != only:
+            raise GraphFormatError(f"arch field {key!r} must be {json.dumps(only)}")
     try:
-        arch = ArchConfig(**obj["arch"])
+        arch = ArchConfig(**fields)
     except (TypeError, ValueError) as e:
         raise GraphFormatError(f"bad arch: {e}") from None
 

@@ -127,8 +127,7 @@ def test_gradients_match_finite_differences():
     ops = [int(rng.integers(0, 4)) for _ in range(n)]
     pairs = {(int(rng.integers(0, n)), int(rng.integers(0, n))) for _ in range(8)}
     edges = tuple(sorted(pairs))
-    sample = GraphSample(node_ops=tuple(ops), edges=edges,
-                         edge_weights=tuple(1 for _ in edges), label=1)
+    sample = GraphSample(node_ops=tuple(ops), edges=edges, label=1)
     labels = np.array([1.0])
 
     arch = ArchConfig(vocab_size=4, embed_dim=8, hidden_dim=8, num_sage_layers=6)
@@ -178,17 +177,15 @@ def test_scores_invariant_under_node_relabeling():
         pairs = sorted({(int(rng.integers(0, n)), int(rng.integers(0, n)))
                         for _ in range(m)})
         ops = tuple(int(v) for v in rng.integers(0, 6, size=n))
-        weights = tuple(int(v) for v in rng.integers(1, 9, size=len(pairs)))
-        g = GraphSample(node_ops=ops, edges=tuple(pairs), edge_weights=weights,
-                        label=None)
+        rng.integers(1, 9, size=len(pairs))  # unused; keeps the later seeded draws
+        g = GraphSample(node_ops=ops, edges=tuple(pairs), label=None)
 
         perm = rng.permutation(n)
         new_ops = [0] * n
         for old, new in enumerate(perm):
             new_ops[new] = ops[old]
         new_edges = tuple((int(perm[a]), int(perm[b])) for a, b in pairs)
-        h = GraphSample(node_ops=tuple(new_ops), edges=new_edges,
-                        edge_weights=weights, label=None)
+        h = GraphSample(node_ops=tuple(new_ops), edges=new_edges, label=None)
 
         s1, _ = forward(params, [g])
         s2, _ = forward(params, [h])

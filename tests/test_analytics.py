@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from malgraph import analytics
 from malgraph.analytics import (
     FEATURES_CSV_HEADER,
+    GraphSample,
     OpVocabulary,
     _centralities,
     build_vocab,
@@ -320,7 +321,6 @@ def test_encode_lookup_and_unknown():
     s = encode(g, vocab)
     assert s.node_ops == (2, 2)
     assert s.edges == ((0, 1),)
-    assert s.edge_weights == (4,)
     assert s.label == 1 and s.family == "worm"
 
     g2 = make_graph(1, [], ops=["cmpxchg"])
@@ -328,6 +328,52 @@ def test_encode_lookup_and_unknown():
 
     with pytest.raises(EmptyGraph):
         encode(DepGraph(nodes=(), edges=()), vocab)
+
+
+def _mean_matrix_oracle(n, edges):
+    """Dense A[v,u] = 1/|N(v)| from per-node neighbour sets, edges undirected."""
+    neigh = [set() for _ in range(n)]
+    for a, b in edges:
+        neigh[a].add(b)
+        neigh[b].add(a)
+    out = np.zeros((n, n))
+    for v, us in enumerate(neigh):
+        for u in us:
+            out[v, u] = 1.0 / len(us)
+    return out
+
+
+def _check_agg(n, edges):
+    agg = GraphSample(node_ops=(0,) * n, edges=tuple(edges)).agg
+    assert agg.shape == (n, n)
+    assert np.array_equal(agg.toarray(), _mean_matrix_oracle(n, edges))
+    for v in range(n):
+        cols = agg.indices[agg.indptr[v]:agg.indptr[v + 1]]
+        assert np.all(np.diff(cols) > 0)  # sorted, each neighbour once
+
+
+def test_agg_example_with_loops_duplicates_and_isolated_nodes():
+    # 0-1 given as a duplicate and reversed, 2 has a self-loop and the
+    # neighbour 1, 3 and 4 are isolated
+    edges = [(0, 1), (0, 1), (1, 0), (2, 2), (1, 2)]
+    _check_agg(5, edges)
+    dense = GraphSample(node_ops=(0,) * 5, edges=tuple(edges)).agg.toarray()
+    assert dense[0].tolist() == [0.0, 1.0, 0.0, 0.0, 0.0]
+    assert dense[1].tolist() == [0.5, 0.0, 0.5, 0.0, 0.0]
+    assert dense[2].tolist() == [0.0, 0.5, 0.5, 0.0, 0.0]
+    assert not dense[3:].any()
+
+
+@given(st.integers(1, 12).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                         max_size=40))))
+def test_agg_matches_neighbour_set_oracle(case):
+    _check_agg(*case)
+
+
+def test_agg_built_once():
+    s = GraphSample(node_ops=(0, 0), edges=((0, 1),))
+    assert s.agg is s.agg
 
 
 @given(st.lists(st.integers(0, 7), min_size=1, max_size=30))

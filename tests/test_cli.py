@@ -65,6 +65,31 @@ def test_compile_directory_of_three(tmp_path, capsys):
     assert len(list(out_dir.glob("*.json"))) == 3
 
 
+def test_compile_directory_suffix_is_case_insensitive(tmp_path, capsys):
+    src = tmp_path / "src"
+    src.mkdir()
+    (src / "P.LL").write_text(SMALL_LL)
+    (src / "Q.Trace").write_text(TWO_LINE_TRACE)
+    code, _, err = run(["compile", src, "--out", tmp_path / "out"], capsys)
+    assert code == 0, err
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["P.json", "Q.json"]
+
+
+def test_compile_same_stem_exits_1_and_writes_nothing(tmp_path, capsys):
+    for d in ("x", "y"):
+        (tmp_path / d).mkdir()
+        (tmp_path / d / "a.trace").write_text(TWO_LINE_TRACE)
+    out_dir = tmp_path / "o"
+    code, out, err = run(["compile", tmp_path / "x" / "a.trace",
+                          tmp_path / "y" / "a.trace", "--out", out_dir], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(tmp_path / "x" / "a.trace") in err
+    assert str(tmp_path / "y" / "a.trace") in err
+    assert str(out_dir / "a.json") in err
+    assert not out_dir.exists()
+
+
 def test_compile_malformed_names_path_and_line(tmp_path, capsys):
     bad = tmp_path / "bad.trace"
     bad.write_text("%1 = add i64 %a, %b\n%broken\n")
@@ -185,6 +210,17 @@ def test_train_rejects_bad_split(trained, tmp_path, capsys):
     assert code == 2
 
 
+def test_train_divergence_names_epoch_and_step(trained, tmp_path, capsys):
+    code, out, err = run(["train", "--manifest", trained / "c" / "manifest.jsonl",
+                          "--out", tmp_path / "m.json", "--epochs", "2",
+                          "--hidden", "8", "--layers", "4", "--lr", "1e300"], capsys)
+    assert code == 1 and out == ""
+    # 14 training graphs make one batch per epoch; the first step's update
+    # is finite, the second step's forward is not
+    assert "training diverged at epoch 2, step 2: non-finite loss" in err
+    assert not (tmp_path / "m.json").exists()
+
+
 def test_train_missing_manifest_exits_1(tmp_path, capsys):
     code, _, err = run(["train", "--manifest", tmp_path / "nope.jsonl"], capsys)
     assert code == 1
@@ -269,10 +305,25 @@ def _wrong_out_shape(model):
     model["weights"]["out_W"] = model["weights"]["out_W"][:-1]
 
 
+def _directed_view(model):
+    model["arch"]["neighbor_view"] = "directed_in"
+
+
+def _sampled_neighbours(model):
+    model["arch"]["sample_cap"] = 3
+
+
+def _arch_not_object(model):
+    model["arch"] = list(model["arch"].values())
+
+
 @pytest.mark.parametrize("corrupt, detail", [
     (_no_sage_weights, "sage layers"),        # ShapeMismatch: layer count
     (_short_vocabulary, "vocabulary has"),    # VocabMismatch
     (_wrong_out_shape, "out_W"),              # ShapeMismatch: tensor shape
+    (_directed_view, "neighbor_view"),        # GraphFormatError: fixed arch keys
+    (_sampled_neighbours, "sample_cap"),
+    (_arch_not_object, "arch must be an object"),
 ])
 def test_predict_inconsistent_model_names_file(trained, tmp_path, capsys, corrupt, detail):
     model = json.loads((trained / "model.json").read_text())

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from malgraph import sage
 from malgraph.analytics import GraphSample, OpVocabulary
 from malgraph.errors import (
     CacheMismatch,
@@ -31,16 +30,12 @@ from malgraph.sage import (
     load_model,
     model_from_json,
     model_to_json,
-    sample_neighbors,
     save_model,
 )
 
 
 def gs(node_ops, edges, label=None):
-    return GraphSample(node_ops=tuple(node_ops),
-                       edges=tuple(edges),
-                       edge_weights=tuple(4 for _ in edges),
-                       label=label)
+    return GraphSample(node_ops=tuple(node_ops), edges=tuple(edges), label=label)
 
 
 SMALL = ArchConfig(vocab_size=5, embed_dim=4, hidden_dim=3, num_sage_layers=2)
@@ -53,8 +48,7 @@ def naive_forward(params, sample) -> float:
     neigh = [set() for _ in range(n)]
     for s, d in sample.edges:
         neigh[d].add(s)
-        if arch.neighbor_view == "undirected":
-            neigh[s].add(d)
+        neigh[s].add(d)
 
     def act(xs):
         if arch.activation == "relu":
@@ -116,10 +110,6 @@ def test_arch_validation():
         ArchConfig(vocab_size=0)
     with pytest.raises(ValueError):
         ArchConfig(vocab_size=3, activation="tanh")
-    with pytest.raises(ValueError):
-        ArchConfig(vocab_size=3, neighbor_view="sideways")
-    with pytest.raises(ValueError):
-        ArchConfig(vocab_size=3, sample_cap=0)
 
 
 @pytest.mark.parametrize("layers", [4, 6, 8, 10])
@@ -139,28 +129,40 @@ def test_ablation_configs_constructible(layers, embed, act):
 # --- forward -------------------------------------------------------------------
 
 def test_mean_aggregation_example():
-    # node 2 aggregates neighbors 0 and 1 with features [1,0] and [0,1]
+    # node 2 aggregates neighbors 0 and 1 with features [1,0] and [0,1];
+    # edges are undirected, so 0 and 1 each aggregate node 2 alone
     sample = gs([0, 1, 2], [(0, 2), (1, 2)])
-    arch = ArchConfig(vocab_size=3, embed_dim=2, hidden_dim=2,
-                      num_sage_layers=1, neighbor_view="directed_in")
-    agg = sage._neighbor_matrix([sample], np.array([0]), arch, None)
-    H = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
-    m = agg @ H
+    H = np.array([[1.0, 0.0], [0.0, 1.0], [2.0, 4.0]])
+    m = sample.agg @ H
     assert np.allclose(m[2], [0.5, 0.5])
-    assert np.allclose(m[0], [0.0, 0.0])  # isolated under directed_in
+    assert np.allclose(m[0], [2.0, 4.0])
+    assert np.allclose(m[1], [2.0, 4.0])
 
 
 def test_isolated_node_aggregates_zero():
-    sample = gs([0, 1], [])
-    arch = ArchConfig(vocab_size=2, embed_dim=2, hidden_dim=2, num_sage_layers=1)
-    agg = sage._neighbor_matrix([sample], np.array([0]), arch, None)
-    assert agg.nnz == 0
+    assert gs([0, 1], []).agg.nnz == 0
+    # node 2 has no edge in a graph that has some
+    agg = gs([0, 1, 2], [(0, 1)]).agg
+    assert agg.getrow(2).nnz == 0 and agg.getrow(0).nnz == 1
+
+
+def test_forward_batch_matrix_is_block_diagonal_of_samples():
+    params = init_params(SMALL, 4)
+    samples = [gs([1, 2, 3], [(0, 1), (2, 1), (1, 0)]), gs([4], []),
+               gs([0, 1, 2, 3], [(3, 3), (0, 2), (2, 0), (1, 3)])]
+    _, cache = forward(params, samples)
+    dense = cache.agg.toarray()
+    lo = 0
+    for s in samples:
+        hi = lo + s.num_nodes
+        assert np.array_equal(dense[lo:hi, lo:hi], s.agg.toarray())
+        lo = hi
+    assert cache.agg.nnz == sum(s.agg.nnz for s in samples)
 
 
 def test_matches_naive_reference():
     cases = [
         ArchConfig(5, 4, 3, 2),
-        ArchConfig(5, 4, 3, 2, neighbor_view="directed_in"),
         ArchConfig(5, 4, 3, 2, use_embedding=False),
         ArchConfig(5, 4, 3, 2, activation="relu"),
     ]
@@ -261,9 +263,9 @@ def test_gradients_match_finite_differences():
     _fd_check(SMALL, FD_SAMPLES, FD_LABELS)
 
 
-def test_gradients_match_fd_no_embedding_directed():
+def test_gradients_match_fd_no_embedding():
     arch = ArchConfig(vocab_size=5, embed_dim=4, hidden_dim=3, num_sage_layers=2,
-                      use_embedding=False, neighbor_view="directed_in")
+                      use_embedding=False)
     _fd_check(arch, FD_SAMPLES, FD_LABELS)
 
 
@@ -343,41 +345,6 @@ def test_adam_shape_guard():
         adam_step(params, grads, state, 1)
 
 
-# --- neighbor sampling ------------------------------------------------------------
-
-def test_sample_neighbors_under_cap():
-    rng = np.random.default_rng(0)
-    assert sample_neighbors([7, 8, 9], 5, rng) == [7, 8, 9]
-
-
-def test_sample_neighbors_exact_cap_subset():
-    rng = np.random.default_rng(0)
-    pool = list(range(10, 20))
-    out = sample_neighbors(pool, 3, rng)
-    assert len(out) == 3 and len(set(out)) == 3
-    assert all(x in pool for x in out)
-
-
-def test_sample_neighbors_uniform():
-    rng = np.random.default_rng(42)
-    hits = {i: 0 for i in range(4)}
-    for _ in range(10_000):
-        (pick,) = sample_neighbors([0, 1, 2, 3], 1, rng)
-        hits[pick] += 1
-    for i in range(4):
-        assert abs(hits[i] / 10_000 - 0.25) <= 0.02
-
-
-def test_sampled_forward_is_seed_deterministic():
-    arch = ArchConfig(vocab_size=5, embed_dim=4, hidden_dim=3,
-                      num_sage_layers=2, sample_cap=1)
-    params = init_params(arch, 1)
-    samples = [gs([1, 2, 3, 4], [(0, 3), (1, 3), (2, 3), (0, 1)])]
-    a, _ = forward(params, samples, rng=np.random.default_rng(5))
-    b, _ = forward(params, samples, rng=np.random.default_rng(5))
-    assert np.array_equal(a, b)
-
-
 # --- persistence -------------------------------------------------------------------
 
 VOCAB5 = OpVocabulary(("<unk>", "add", "load", "store", "sub"))
@@ -438,6 +405,34 @@ def test_model_rejections(tmp_path):
     p.write_bytes(b"{nope")
     with pytest.raises(MalformedFile):
         load_model(p)
+
+
+def test_model_json_keeps_fixed_arch_keys():
+    # model files carry both neighbour keys at their one supported value;
+    # a file without them loads the same
+    params = init_params(SMALL, 13)
+    obj = json.loads(model_to_json(params, VOCAB5))
+    assert obj["arch"]["neighbor_view"] == "undirected"
+    assert obj["arch"]["sample_cap"] is None
+    del obj["arch"]["neighbor_view"], obj["arch"]["sample_cap"]
+    loaded, _ = model_from_json(json.dumps(obj))
+    assert loaded.arch == params.arch
+
+
+@pytest.mark.parametrize("key, value, detail", [
+    ("neighbor_view", "directed_in", "neighbor_view"),
+    ("sample_cap", 3, "sample_cap"),
+    ("arch", [5, 4, 3, 2], "arch must be an object"),
+])
+def test_model_rejects_other_arch(key, value, detail):
+    obj = json.loads(model_to_json(init_params(SMALL, 13), VOCAB5))
+    if key == "arch":
+        obj["arch"] = value
+    else:
+        obj["arch"][key] = value
+    with pytest.raises(GraphFormatError) as exc:
+        model_from_json(json.dumps(obj))
+    assert detail in str(exc.value)
 
 
 def test_model_vocab_size_guard():
