@@ -12,7 +12,7 @@ import tempfile
 from pathlib import Path
 
 from malgraph.corpus import CorpusSpec, generate
-from malgraph.pipeline import TrainConfig, eval_per_family, train
+from malgraph.pipeline import TrainConfig, eval_samples, train
 from malgraph.sage import ArchConfig
 
 ROWS = [(False, "relu"), (True, "leaky_relu"), (True, "relu")]
@@ -42,8 +42,8 @@ def main() -> int:
                                   activation=activation)
                 cfg = TrainConfig(arch=arch, epochs=args.epochs, seed=args.seed)
                 result = train(manifest, cfg)
-                report = eval_per_family(result.params, result.vocab,
-                                         result.test_manifest)
+                report = eval_samples(result.params, result.test_samples,
+                                      result.test_manifest)
                 results.append((layers, use_embedding, activation,
                                 report.acc, report.auroc, report.f1))
                 print(f"layers={layers:2d} embedding={use_embedding!s:5} "

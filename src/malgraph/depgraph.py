@@ -73,28 +73,28 @@ def build_graph(unit: TraceUnit, *, control_edges: bool = False,
     insts = unit.instructions
     nodes = tuple(DepNode(i.index, i.opcode, i.result_type) for i in insts)
 
-    weights: dict[tuple[int, int, str], int] = {}  # keeps first weight per triple
+    keys: set[tuple[int, int, str]] = set()
     last_def = {}
     last_store = {}
     for inst in insts:
         for src in inst.sources:
             p = last_def.get(src)
             if p is not None:
-                weights.setdefault((p, inst.index, "data"),
-                                   sizeof_type(insts[p].result_type))
+                keys.add((p, inst.index, "data"))
         if memory_edges and inst.opcode == "load" and inst.mem_addr is not None:
             p = last_store.get(inst.mem_addr)
             if p is not None:
-                weights.setdefault((p, inst.index, "memory"),
-                                   sizeof_type(insts[p].result_type))
+                keys.add((p, inst.index, "memory"))
         if control_edges and inst.opcode in ("br", "ret") and inst.index + 1 < len(insts):
-            weights.setdefault((inst.index, inst.index + 1, "control"), 1)
+            keys.add((inst.index, inst.index + 1, "control"))
         if inst.dest is not None:
             last_def[inst.dest] = inst.index
         if memory_edges and inst.opcode == "store" and inst.mem_addr is not None:
             last_store[inst.mem_addr] = inst.index
 
-    edges = tuple(DepEdge(s, d, weights[(s, d, k)], k) for (s, d, k) in sorted(weights))
+    # weights once per distinct edge: the producer's result size, 1 for control
+    edges = tuple(DepEdge(s, d, 1 if k == "control" else sizeof_type(insts[s].result_type), k)
+                  for s, d, k in sorted(keys))
     return DepGraph(nodes=nodes, edges=edges, origin=unit.origin)
 
 
@@ -120,15 +120,11 @@ def _require(cond: bool, detail: str):
         raise GraphFormatError(detail)
 
 
-def _is_int(x) -> bool:
-    return type(x) is int
-
-
 def from_json(data) -> DepGraph:
     """Parse and validate a graph document (bytes or str)."""
     try:
         obj = json.loads(data)
-    except (json.JSONDecodeError, UnicodeDecodeError) as e:
+    except (ValueError, RecursionError) as e:  # ValueError covers decode and int-size errors
         raise GraphFormatError(f"not valid JSON: {e}") from None
     _require(isinstance(obj, dict), "top level must be an object")
     if obj.get("version") != 1:
@@ -139,7 +135,7 @@ def from_json(data) -> DepGraph:
     origin = obj["origin"]
     _require(isinstance(origin, str), "origin must be a string")
     label = obj["label"]
-    _require(label is None or (_is_int(label) and label in (0, 1)),
+    _require(label is None or (type(label) is int and label in (0, 1)),
              "label must be 0, 1 or null")
     family = obj["family"]
     _require(family is None or isinstance(family, str), "family must be a string or null")
@@ -148,11 +144,12 @@ def from_json(data) -> DepGraph:
     if not obj["nodes"]:
         raise EmptyGraph(f"graph {origin!r} has no nodes")
 
+    # messages naming an item are formatted only when its check fails
     nodes = []
     for item in obj["nodes"]:
-        _require(isinstance(item, dict) and _is_int(item.get("id"))
-                 and isinstance(item.get("op"), str) and isinstance(item.get("type"), str),
-                 f"bad node entry: {item!r}")
+        if not (isinstance(item, dict) and type(item.get("id")) is int
+                and isinstance(item.get("op"), str) and isinstance(item.get("type"), str)):
+            raise GraphFormatError(f"bad node entry: {item!r}")
         nodes.append(DepNode(item["id"], item["op"], parse_type_token(item["type"])))
     nodes.sort(key=lambda n: n.id)
     _require([n.id for n in nodes] == list(range(len(nodes))),
@@ -162,15 +159,18 @@ def from_json(data) -> DepGraph:
     edges = []
     seen = set()
     for item in obj["edges"]:
-        _require(isinstance(item, dict) and _is_int(item.get("src"))
-                 and _is_int(item.get("dst")) and _is_int(item.get("w"))
-                 and item.get("kind") in EDGE_KINDS,
-                 f"bad edge entry: {item!r}")
+        if not (isinstance(item, dict) and type(item.get("src")) is int
+                and type(item.get("dst")) is int and type(item.get("w")) is int
+                and item.get("kind") in EDGE_KINDS):
+            raise GraphFormatError(f"bad edge entry: {item!r}")
         src, dst, w = item["src"], item["dst"], item["w"]
-        _require(0 <= src < n and 0 <= dst < n, f"edge endpoint out of range: {item!r}")
-        _require(w >= 1, f"edge weight must be >= 1: {item!r}")
+        if not (0 <= src < n and 0 <= dst < n):
+            raise GraphFormatError(f"edge endpoint out of range: {item!r}")
+        if w < 1:
+            raise GraphFormatError(f"edge weight must be >= 1: {item!r}")
         key = (src, dst, item["kind"])
-        _require(key not in seen, f"duplicate edge {key!r}")
+        if key in seen:
+            raise GraphFormatError(f"duplicate edge {key!r}")
         seen.add(key)
         edges.append(DepEdge(src, dst, w, item["kind"]))
 

@@ -20,10 +20,17 @@ Supported instruction forms, after comment stripping::
 ``define ... @name(...) {``, ``label:`` lines and ``}`` delimit function and
 block attribution.  Preamble/metadata lines (``target``, ``declare``, ``@``
 globals, ``!`` metadata, ``attributes``, ``source_filename``) are skipped.
+
+Type tokens and registers are shared immutable values: each type token maps
+to one ``ValueType`` through a bounded cache, and a parse hands out one
+``Register`` per name and function scope.  A type token longer than
+``MAX_TYPE_TOKEN`` characters (an integer width with thousands of digits, a
+vector nested hundreds deep) is ``opaque``, like any other unknown token.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass, field
@@ -44,6 +51,8 @@ SUPPORTED_OPCODES = BINARY_OPCODES | {
 }
 # Opcodes that never produce a value (call is handled via its return type).
 VALUELESS_OPCODES = frozenset({"store", "br", "ret"})
+# Opcodes that always produce one.
+_DEST_OPCODES = BINARY_OPCODES | {"load", "getelementptr", "alloca"}
 
 ICMP_PREDICATES = frozenset({
     "eq", "ne", "ugt", "uge", "ult", "ule", "sgt", "sge", "slt", "sle",
@@ -101,13 +110,23 @@ def sizeof_type(t: ValueType) -> int:
 
 _INT_TOKEN = re.compile(r"^i(\d+)$")
 _VECTOR_TOKEN = re.compile(r"^<\s*(\d+)\s*x\s+(.+?)\s*>$")
+# Longer type tokens are opaque.  This bounds the digits handed to int() and
+# the vector nesting depth, so the recursion below and the recursive
+# ValueType methods stay far from the interpreter's limits.
+MAX_TYPE_TOKEN = 256
 
 
 def parse_type_token(token: str) -> ValueType:
-    """Map a type token to a ValueType; unknown tokens become opaque."""
+    """Map a type token to a ValueType; unknown and oversize tokens become opaque."""
     token = token.strip()
     if token.endswith("*"):
         return POINTER
+    return _parse_bare_type(token) if len(token) <= MAX_TYPE_TOKEN else OPAQUE
+
+
+@functools.lru_cache(maxsize=1024)
+def _parse_bare_type(token: str) -> ValueType:
+    """parse_type_token of a stripped token that is not a pointer."""
     if token == "ptr":
         return POINTER
     if token == "void":
@@ -189,6 +208,11 @@ _ADDR_ANNOT = re.compile(r";\s*addr=0x([0-9a-fA-F]+)\s*$")
 _DEFINE_RE = re.compile(r"^define\b.*?@([\w.$-]+)\s*\((.*?)\)")
 _LABEL_RE = re.compile(r"^([\w.$-]+):\s*$")
 _CALLEE_RE = re.compile(r"^(.*?)\s*@[\w.$-]+\s*\((.*)\)\s*$", re.DOTALL)
+_TYPE_REG_RE = re.compile(r"^(.*?)\s*%([\w.$-]+)$", re.DOTALL)
+_PREDICATE_RE = re.compile(r"^([a-z]+)\s+(.*)$", re.DOTALL)
+_BR_RE = re.compile(r"label\s+(%[\w.$-]+)")
+_COND_BR_RE = re.compile(
+    r"i1\s+(%[\w.$-]+)\s*,\s*label\s+(%[\w.$-]+)\s*,\s*label\s+(%[\w.$-]+)")
 
 _SKIP_PREFIXES = ("target ", "source_filename", "declare ", "attributes ", "@", "!")
 
@@ -197,25 +221,37 @@ class _StrictFail(Exception):
     pass
 
 
-def _reg_from_operand(text: str, scope: str) -> Register:
+class _Registers(dict):
+    """The registers of one function scope: one shared Register per name."""
+
+    def __init__(self, scope: str):
+        super().__init__()
+        self.scope = scope
+
+    def __missing__(self, name: str) -> Register:
+        reg = self[name] = Register(name, self.scope)
+        return reg
+
+
+def _reg_from_operand(text: str, regs: _Registers) -> Register:
     """Expect `text` to be exactly one %-register token."""
     text = text.strip()
     m = _REG_TOKEN.fullmatch(text)
     if not m:
         raise _StrictFail(f"expected register, got {text!r}")
-    return Register(m.group(1), scope)
+    return regs[m.group(1)]
 
 
-def _split_type_reg(chunk: str, scope: str) -> tuple[ValueType, Register]:
+def _split_type_reg(chunk: str, regs: _Registers) -> tuple[ValueType, Register]:
     """Parse a `<ty> %R` operand chunk (the type may contain spaces)."""
     chunk = chunk.strip()
-    m = re.match(r"^(.*?)\s*(%[\w.$-]+)$", chunk, re.DOTALL)
+    m = _TYPE_REG_RE.match(chunk)
     if not m or not m.group(1).strip():
         raise _StrictFail(f"expected '<ty> %reg', got {chunk!r}")
-    return parse_type_token(m.group(1)), _reg_from_operand(m.group(2), scope)
+    return parse_type_token(m.group(1)), regs[m.group(2)]
 
 
-def _parse_strict(opcode: str, rest: str, scope: str):
+def _parse_strict(opcode: str, rest: str, regs: _Registers):
     """Parse the operand text of a supported opcode.
 
     Returns (dest_required, sources, result_type); raises _StrictFail when the
@@ -230,15 +266,15 @@ def _parse_strict(opcode: str, rest: str, scope: str):
         first = chunks[0]
         if opcode in ("icmp", "fcmp"):
             preds = ICMP_PREDICATES if opcode == "icmp" else FCMP_PREDICATES
-            m = re.match(r"^([a-z]+)\s+(.*)$", first, re.DOTALL)
+            m = _PREDICATE_RE.match(first)
             if not m or m.group(1) not in preds:
                 raise _StrictFail("missing comparison predicate")
             first = m.group(2)
-            _, src0 = _split_type_reg(first, scope)
+            _, src0 = _split_type_reg(first, regs)
             result = INT1
         else:
-            result, src0 = _split_type_reg(first, scope)
-        sources = [src0] + [_reg_from_operand(c, scope) for c in chunks[1:]]
+            result, src0 = _split_type_reg(first, regs)
+        sources = [src0] + [_reg_from_operand(c, regs) for c in chunks[1:]]
         return True, tuple(sources), result
 
     if opcode == "load":
@@ -247,24 +283,24 @@ def _parse_strict(opcode: str, rest: str, scope: str):
         result = parse_type_token(chunks[0])
         if "%" in chunks[0]:
             raise _StrictFail("load result type must not contain a register")
-        _, ptr = _split_type_reg(chunks[1], scope)
+        _, ptr = _split_type_reg(chunks[1], regs)
         return True, (ptr,), result
 
     if opcode == "store":
         if len(chunks) != 2:
             raise _StrictFail("store expects '<ty> %V, <ty>* %P'")
-        stored_ty, val = _split_type_reg(chunks[0], scope)
-        _, ptr = _split_type_reg(chunks[1], scope)
+        stored_ty, val = _split_type_reg(chunks[0], regs)
+        _, ptr = _split_type_reg(chunks[1], regs)
         # the stored value's type is recorded so memory edges can weigh it
         return False, (val, ptr), stored_ty
 
     if opcode == "getelementptr":
         if len(chunks) < 2 or "%" in chunks[0]:
             raise _StrictFail("getelementptr expects '<ty>, <ty>* %P(, <ity> %I)*'")
-        _, base = _split_type_reg(chunks[1], scope)
+        _, base = _split_type_reg(chunks[1], regs)
         sources = [base]
         for c in chunks[2:]:
-            _, idx = _split_type_reg(c, scope)
+            _, idx = _split_type_reg(c, regs)
             sources.append(idx)
         return True, tuple(sources), POINTER
 
@@ -285,7 +321,7 @@ def _parse_strict(opcode: str, rest: str, scope: str):
         sources = []
         if args_text:
             for c in args_text.split(","):
-                _, arg = _split_type_reg(c, scope)
+                _, arg = _split_type_reg(c, regs)
                 sources.append(arg)
         if result == VOID:
             return False, tuple(sources), VOID
@@ -293,13 +329,12 @@ def _parse_strict(opcode: str, rest: str, scope: str):
 
     if opcode == "br":
         flat = rest.strip()
-        m = re.fullmatch(r"label\s+(%[\w.$-]+)", flat)
+        m = _BR_RE.fullmatch(flat)
         if m:
-            return False, (_reg_from_operand(m.group(1), scope),), VOID
-        m = re.fullmatch(
-            r"i1\s+(%[\w.$-]+)\s*,\s*label\s+(%[\w.$-]+)\s*,\s*label\s+(%[\w.$-]+)", flat)
+            return False, (_reg_from_operand(m.group(1), regs),), VOID
+        m = _COND_BR_RE.fullmatch(flat)
         if m:
-            srcs = tuple(_reg_from_operand(m.group(i), scope) for i in (1, 2, 3))
+            srcs = tuple(_reg_from_operand(m.group(i), regs) for i in (1, 2, 3))
             return False, srcs, VOID
         raise _StrictFail("br expects 'label %L' or 'i1 %C, label %L1, label %L2'")
 
@@ -307,13 +342,13 @@ def _parse_strict(opcode: str, rest: str, scope: str):
         flat = rest.strip()
         if flat == "void":
             return False, (), VOID
-        ty, val = _split_type_reg(flat, scope)
+        ty, val = _split_type_reg(flat, regs)
         return False, (val,), ty
 
     raise _StrictFail(f"no strict rule for {opcode}")
 
 
-def _parse_instruction_line(code: str, line_no: int, scope: str) -> tuple:
+def _parse_instruction_line(code: str, line_no: int, regs: _Registers) -> tuple:
     """Parse one instruction line into (opcode, dest_name, sources, result_type).
 
     Falls back to the permissive form (opcode + all rhs register tokens,
@@ -339,10 +374,10 @@ def _parse_instruction_line(code: str, line_no: int, scope: str) -> tuple:
     if opcode in SUPPORTED_OPCODES:
         if opcode in VALUELESS_OPCODES and dest_name is not None:
             raise MalformedLine(line_no, f"{opcode} cannot produce a value")
-        if opcode in BINARY_OPCODES | {"load", "getelementptr", "alloca"} and dest_name is None:
+        if opcode in _DEST_OPCODES and dest_name is None:
             raise MalformedLine(line_no, f"{opcode} requires a destination")
         try:
-            needs_dest, sources, result = _parse_strict(opcode, rest, scope)
+            needs_dest, sources, result = _parse_strict(opcode, rest, regs)
         except _StrictFail:
             if opcode == "call":
                 # explicit 'call void' with a dest, or explicit non-void without
@@ -353,7 +388,7 @@ def _parse_instruction_line(code: str, line_no: int, scope: str) -> tuple:
                     raise MalformedLine(line_no, "call returning void cannot have a destination")
                 if first and not explicit_void and "%" not in first and dest_name is None:
                     raise MalformedLine(line_no, "non-void call requires a destination")
-            return _fallback(opcode, dest_name, rest, scope)
+            return _fallback(opcode, dest_name, rest, regs)
         if opcode == "call":
             if needs_dest and dest_name is None:
                 raise MalformedLine(line_no, "non-void call requires a destination")
@@ -361,20 +396,12 @@ def _parse_instruction_line(code: str, line_no: int, scope: str) -> tuple:
                 raise MalformedLine(line_no, "call returning void cannot have a destination")
         return opcode, dest_name, sources, result
 
-    return _fallback(opcode, dest_name, rest, scope)
+    return _fallback(opcode, dest_name, rest, regs)
 
 
-def _fallback(opcode: str, dest_name: str | None, rest: str, scope: str) -> tuple:
-    tokens = _REG_TOKEN.findall(rest)
-    sources = tuple(Register(t, scope) for t in tokens)
+def _fallback(opcode: str, dest_name: str | None, rest: str, regs: _Registers) -> tuple:
+    sources = tuple(regs[t] for t in _REG_TOKEN.findall(rest))
     return opcode.lower(), dest_name, sources, OPAQUE
-
-
-def _parse_define_args(params_text: str, scope: str) -> list[Register]:
-    regs = []
-    for tok in _REG_TOKEN.findall(params_text):
-        regs.append(Register(tok, scope))
-    return regs
 
 
 def _parse_unit(text: str, origin: str, fmt: str) -> TraceUnit:
@@ -382,14 +409,16 @@ def _parse_unit(text: str, origin: str, fmt: str) -> TraceUnit:
     args: set[Register] = set()
     function = ""
     block = ""
+    scopes = {function: _Registers(function)}
+    regs = scopes[function]
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         mem_addr = None
-        m = _ADDR_ANNOT.search(raw)
-        if m:
-            mem_addr = int(m.group(1), 16)
-            raw = raw[: m.start()]
         if ";" in raw:
+            m = _ADDR_ANNOT.search(raw)
+            if m:
+                mem_addr = int(m.group(1), 16)
+                raw = raw[: m.start()]
             raw = raw.split(";", 1)[0]
         line = raw.strip()
         if not line:
@@ -398,12 +427,14 @@ def _parse_unit(text: str, origin: str, fmt: str) -> TraceUnit:
         if line == "}":
             function = ""
             block = ""
+            regs = scopes.setdefault(function, _Registers(function))
             continue
         m = _DEFINE_RE.match(line)
         if m:
             function = m.group(1)
             block = "entry"
-            args.update(_parse_define_args(m.group(2), function))
+            regs = scopes.setdefault(function, _Registers(function))
+            args.update(regs[t] for t in _REG_TOKEN.findall(m.group(2)))
             continue
         m = _LABEL_RE.match(line)
         if m:
@@ -415,8 +446,8 @@ def _parse_unit(text: str, origin: str, fmt: str) -> TraceUnit:
         if line.startswith(_SKIP_PREFIXES):
             continue
 
-        opcode, dest_name, sources, result = _parse_instruction_line(line, line_no, function)
-        dest = Register(dest_name, function) if dest_name is not None else None
+        opcode, dest_name, sources, result = _parse_instruction_line(line, line_no, regs)
+        dest = regs[dest_name] if dest_name is not None else None
         if opcode not in ("load", "store"):
             mem_addr = None
         instructions.append(Instruction(

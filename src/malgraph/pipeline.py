@@ -50,7 +50,8 @@ from .sage import (
 __all__ = [
     "Manifest", "ManifestEntry", "TrainConfig", "EpochStats", "TrainResult",
     "EvalReport", "load_manifest", "save_manifest", "read_graph", "load_dataset",
-    "split", "train", "auroc", "metrics", "eval_per_family", "score_samples",
+    "split", "train", "auroc", "metrics", "eval_per_family", "eval_samples",
+    "score_samples",
     "save_history", "save_model", "load_model", "worker_count",
     "HISTORY_CSV_HEADER",
 ]
@@ -263,11 +264,14 @@ class EpochStats:
 
 @dataclass
 class TrainResult:
+    """`test_samples` are the encoded graphs of `test_manifest`, in its order."""
+
     params: ModelParams
     vocab: OpVocabulary
     history: list
     train_manifest: Manifest
     test_manifest: Manifest
+    test_samples: list
 
 
 @dataclass(frozen=True)
@@ -332,41 +336,49 @@ def train(manifest: Manifest, cfg: TrainConfig, *, vocab_scope: str = "train",
     history = []
     step = 0
     n = len(train_samples)
-    for epoch in range(1, cfg.epochs + 1):
-        order = shuffle_rng.permutation(n)
-        loss_sum = 0.0
-        for lo in range(0, n, cfg.batch_size):
-            batch_idx = order[lo:lo + cfg.batch_size]
-            batch = [train_samples[i] for i in batch_idx]
-            _, cache = forward(params, batch)
-            loss, grads = backward(params, cache, train_labels[batch_idx])
-            step += 1
-            bad = [] if math.isfinite(loss) else ["loss"]
-            bad += [name for name, g in grads.items() if not np.all(np.isfinite(g))]
-            if bad:  # stop a diverged run before Adam spreads it
-                raise MalgraphError(f"training diverged at epoch {epoch}, step {step}: "
-                                    f"non-finite {', '.join(bad)}")
-            adam_step(params, grads, state, step, lr=cfg.lr)
-            loss_sum += loss * len(batch)
-        scores = score_samples(params, test_samples, cfg.batch_size)
-        history.append(EpochStats(
-            epoch=epoch,
-            train_loss=loss_sum / n,
-            test_acc=metrics(scores, test_labels)["acc"],
-            test_auroc=auroc(scores, test_labels),
-        ))
-    return TrainResult(params, vocab, history, train_m, test_m)
+    # a diverged run ends in the one-line error below, not in numpy's warnings
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for epoch in range(1, cfg.epochs + 1):
+            order = shuffle_rng.permutation(n)
+            loss_sum = 0.0
+            for lo in range(0, n, cfg.batch_size):
+                batch_idx = order[lo:lo + cfg.batch_size]
+                batch = [train_samples[i] for i in batch_idx]
+                _, cache = forward(params, batch)
+                loss, grads = backward(params, cache, train_labels[batch_idx])
+                step += 1
+                bad = [] if math.isfinite(loss) else ["loss"]
+                bad += [name for name, g in grads.items() if not np.all(np.isfinite(g))]
+                if bad:  # stop a diverged run before Adam spreads it
+                    raise MalgraphError(f"training diverged at epoch {epoch}, step {step}: "
+                                        f"non-finite {', '.join(bad)}")
+                adam_step(params, grads, state, step, lr=cfg.lr)
+                loss_sum += loss * len(batch)
+            scores = score_samples(params, test_samples, cfg.batch_size)
+            history.append(EpochStats(
+                epoch=epoch,
+                train_loss=loss_sum / n,
+                test_acc=metrics(scores, test_labels)["acc"],
+                test_auroc=auroc(scores, test_labels),
+            ))
+    return TrainResult(params, vocab, history, train_m, test_m, test_samples)
 
 
 def eval_per_family(params: ModelParams, vocab: OpVocabulary, manifest: Manifest, *,
                     control_edges: bool = False, memory_edges: bool = False,
                     batch_size: int = 64) -> EvalReport:
     """Overall ACC/AUROC/F1 plus per-family accuracy on a labeled manifest."""
-    if not manifest.entries:
-        raise TooFewSamples("evaluation needs at least one entry")
     graphs = load_dataset(manifest, control_edges=control_edges,
                           memory_edges=memory_edges)
-    samples = [encode(g, vocab) for g in graphs]
+    return eval_samples(params, [encode(g, vocab) for g in graphs], manifest,
+                        batch_size=batch_size)
+
+
+def eval_samples(params: ModelParams, samples, manifest: Manifest, *,
+                 batch_size: int = 64) -> EvalReport:
+    """eval_per_family of samples already encoded from `manifest`, in its order."""
+    if not manifest.entries:
+        raise TooFewSamples("evaluation needs at least one entry")
     labels = _labels_of(samples)
     scores = score_samples(params, samples, batch_size)
     core = metrics(scores, labels)

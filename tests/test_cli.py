@@ -1,8 +1,10 @@
+import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
+from malgraph import corpus, pipeline
 from malgraph.cli import main
 from malgraph.depgraph import DepEdge, DepGraph, DepNode, save_graph, to_json
 from malgraph.ir import INT64
@@ -162,6 +164,48 @@ def test_compile_edge_flags_add_edges(tmp_path, capsys):
     assert code == 0 and "2 edges" in out
 
 
+_HUGE_INT = "i" + "7" * 5000
+_DEEP_VECTOR = "<1 x " * 1200 + "i32" + ">" * 1200
+
+
+@pytest.mark.parametrize("token", [_HUGE_INT, _DEEP_VECTOR], ids=["huge_int", "deep_vector"])
+@pytest.mark.parametrize("as_json", [False, True], ids=["trace", "json"])
+def test_compile_oversize_type_token_is_opaque(tmp_path, capsys, token, as_json):
+    if as_json:
+        src = tmp_path / "t.json"
+        src.write_text(json.dumps({
+            "version": 1, "origin": "t", "label": None, "family": None,
+            "nodes": [{"id": 0, "op": "load", "type": token}], "edges": []}))
+    else:
+        src = tmp_path / "t.trace"
+        src.write_text(f"%p = alloca i8\n%v = load {token}, i8* %p\n")
+    code, _, err = run(["compile", src, "--out", tmp_path / "out"], capsys)
+    assert code == 0 and err == ""
+    nodes = json.loads((tmp_path / "out" / "t.json").read_text())["nodes"]
+    assert nodes[-1] == {"id": len(nodes) - 1, "op": "load", "type": "opaque"}
+
+
+# SHA-256 of every graph compiled from a fixed corpus, concatenated in file
+# name order.  Generation and compilation are pure Python and each graph's
+# origin is the relative input path, so the digest holds on every machine.
+COMPILE_GOLDEN = {
+    (): "55602c7740fdc7272fca6126428aaf5dbbdf65628732bd0a1327a02f0afc82c9",
+    ("--control-edges", "--mem-deps"):
+        "8b1a1bf37350ae557665526af1a1489f2f05c17b753bf5b6843f323cc8f30d1e",
+}
+
+
+@pytest.mark.parametrize("flags", sorted(COMPILE_GOLDEN), ids=["plain", "edge_flags"])
+def test_compile_golden_digest(tmp_path, capsys, monkeypatch, flags):
+    corpus.generate(corpus.CorpusSpec(benign_count=4, malicious_count=4, seed=7), tmp_path)
+    monkeypatch.chdir(tmp_path)
+    code, _, _ = run(["compile", "traces", "--out", "out", *flags], capsys)
+    assert code == 0
+    blobs = [p.read_bytes() for p in sorted((tmp_path / "out").glob("*.json"))]
+    assert len(blobs) == 8
+    assert hashlib.sha256(b"".join(blobs)).hexdigest() == COMPILE_GOLDEN[flags]
+
+
 # ---------------------------------------------------------------- corpus
 
 def test_corpus_writes_traces_and_manifest(tmp_path, capsys):
@@ -210,15 +254,30 @@ def test_train_rejects_bad_split(trained, tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_train_divergence_names_epoch_and_step(trained, tmp_path, capsys):
     code, out, err = run(["train", "--manifest", trained / "c" / "manifest.jsonl",
                           "--out", tmp_path / "m.json", "--epochs", "2",
                           "--hidden", "8", "--layers", "4", "--lr", "1e300"], capsys)
     assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1  # no numpy overflow warnings before it
     # 14 training graphs make one batch per epoch; the first step's update
     # is finite, the second step's forward is not
     assert "training diverged at epoch 2, step 2: non-finite loss" in err
     assert not (tmp_path / "m.json").exists()
+
+
+def test_train_parses_each_file_once(trained, tmp_path, capsys, monkeypatch):
+    calls = []
+    parse_trace = pipeline.parse_trace
+    monkeypatch.setattr(pipeline, "parse_trace",
+                        lambda text, origin: calls.append(origin) or parse_trace(text, origin))
+    manifest = trained / "c" / "manifest.jsonl"
+    code, out, _ = run(["train", "--manifest", manifest, "--out", tmp_path / "m.json",
+                        "--epochs", "1", "--hidden", "8", "--layers", "4"], capsys)
+    assert code == 0 and out.startswith("test acc ")
+    assert len(calls) == len(manifest.read_text().splitlines()) == 16
+    assert len(set(calls)) == 16
 
 
 def test_train_missing_manifest_exits_1(tmp_path, capsys):

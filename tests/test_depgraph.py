@@ -1,7 +1,9 @@
 """Graph construction vs. a brute-force prefix-rescan oracle, plus format tests."""
 
 import dataclasses
+import json
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +25,7 @@ from malgraph.errors import (
     GraphFormatError,
     IoError,
     MalformedFile,
+    MalgraphError,
     VersionMismatch,
 )
 from malgraph.ir import INT32, parse_trace, sizeof_type
@@ -216,31 +219,92 @@ def test_json_accepts_unsorted_edges():
     assert g.label is None and g.family is None
 
 
+def _exactly(message):
+    return f"^{re.escape(message)}$"
+
+
 def test_json_rejections():
     ok = to_json(_labeled("%3 = sub i32 %1, %2\n%5 = sub i32 %3, %4"))
-    with pytest.raises(VersionMismatch):
+    with pytest.raises(VersionMismatch, match=_exactly("unsupported graph version 2")):
         from_json(ok.replace(b'"version":1', b'"version":2'))
-    with pytest.raises(GraphFormatError):
+    with pytest.raises(GraphFormatError, match=_exactly(
+            "not valid JSON: Expecting value: line 1 column 1 (char 0)")):
         from_json(b"not json at all")
-    with pytest.raises(GraphFormatError):
+    with pytest.raises(GraphFormatError, match=_exactly("missing field 'origin'")):
         from_json(b'{"version":1}')
-    with pytest.raises(GraphFormatError):
+    with pytest.raises(GraphFormatError, match=_exactly("label must be 0, 1 or null")):
         from_json(ok.replace(b'"label":1', b'"label":true'))
-    with pytest.raises(GraphFormatError):
+    with pytest.raises(GraphFormatError, match=_exactly("label must be 0, 1 or null")):
         from_json(ok.replace(b'"label":1', b'"label":3'))
-    with pytest.raises(GraphFormatError):
+    with pytest.raises(GraphFormatError, match=_exactly(
+            "edge weight must be >= 1: {'src': 0, 'dst': 1, 'w': 0, 'kind': 'data'}")):
         from_json(ok.replace(b'"w":4', b'"w":0'))
-    with pytest.raises(GraphFormatError):
+    with pytest.raises(GraphFormatError, match=_exactly(
+            "edge endpoint out of range: {'src': 0, 'dst': 9, 'w': 4, 'kind': 'data'}")):
         from_json(ok.replace(b'"dst":1', b'"dst":9'))
-    with pytest.raises(GraphFormatError):  # duplicated edge triple
+    with pytest.raises(GraphFormatError, match=_exactly("duplicate edge (0, 1, 'data')")):
         from_json(ok.replace(
             b'"edges":[{"src":0,"dst":1,"w":4,"kind":"data"}]',
             b'"edges":[{"src":0,"dst":1,"w":4,"kind":"data"},'
             b'{"src":0,"dst":1,"w":8,"kind":"data"}]'))
-    with pytest.raises(GraphFormatError):  # non-dense ids
+    with pytest.raises(GraphFormatError, match=_exactly("node ids must be dense 0..n-1")):
         from_json(ok.replace(b'"id":1', b'"id":5'))
-    with pytest.raises(EmptyGraph):
+    with pytest.raises(EmptyGraph, match=_exactly("graph 'x' has no nodes")):
         from_json(b'{"version":1,"origin":"x","label":null,"family":null,"nodes":[],"edges":[]}')
+
+
+@pytest.mark.parametrize("doc,detail", [
+    (b"[" * 100_000 + b"]" * 100_000, "maximum recursion depth exceeded"),
+    (b'{"version":1,"origin":"x","label":null,"family":null,"nodes":[],"edges":[],'
+     b'"id":1' + b"0" * 5000 + b"}", "Exceeds the limit"),
+], ids=["deep_nesting", "long_number"])
+def test_json_too_deep_or_too_long_is_a_format_error(doc, detail):
+    with pytest.raises(GraphFormatError, match=f"^not valid JSON: .*{detail}"):
+        from_json(doc)
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats(allow_nan=False)
+    | st.text(max_size=5) | st.sampled_from(["data", "memory", "i32", "<2 x i8>", "add"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+        st.sampled_from(["id", "op", "type", "src", "dst", "w", "kind"]), inner, max_size=4),
+    max_leaves=8)
+
+
+@st.composite
+def _mutated_document(draw):
+    """A valid graph document with a few values replaced or keys deleted."""
+    obj = json.loads(to_json(_labeled(
+        "%a = add i32 %x, %y\n%b = load i64, i64* %a\nstore i64 %b, i64* %a\nret i64 %b")))
+    for _ in range(draw(st.integers(1, 4))):
+        where = draw(st.sampled_from(["top", "node", "edge"]))
+        if where == "top":
+            target = obj
+        else:
+            items = obj.get("nodes" if where == "node" else "edges")
+            if not isinstance(items, list) or not items:
+                continue
+            target = items[draw(st.integers(0, len(items) - 1))]
+            if not isinstance(target, dict):
+                continue
+        key = draw(st.sampled_from(sorted(target) + ["extra"]))
+        if draw(st.booleans()):
+            target.pop(key, None)
+        else:
+            target[key] = draw(_JSON_VALUES)
+    data = json.dumps(obj).encode()
+    cut = draw(st.integers(0, len(data)))
+    return data if draw(st.booleans()) else data[:cut] + draw(st.binary(max_size=3))
+
+
+@given(_mutated_document())
+@settings(max_examples=300, deadline=None)
+def test_mutated_documents_raise_only_malgraph_errors(data):
+    try:
+        g = from_json(data)
+    except MalgraphError:
+        return
+    assert from_json(to_json(g)) == g
 
 
 def test_save_and_load(tmp_path):

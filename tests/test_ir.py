@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from malgraph import ir
-from malgraph.errors import EmptyUnit, MalformedLine
+from malgraph.errors import EmptyUnit, MalformedLine, MalgraphError
 from malgraph.ir import (
     FLOAT32,
     FLOAT64,
@@ -68,14 +68,48 @@ def test_sizeof(ty, size):
     ("banana", OPAQUE),
     ("<4 x i32>", ValueType("vector", count=4, elem=INT32)),
     ("<2 x double>", ValueType("vector", count=2, elem=FLOAT64)),
+    ("i064", INT64),      # leading zeros
+    pytest.param("i" + "0" * 253 + "64", INT64, id="i0...064"),
+    (" <2 x i32*> ", ValueType("vector", count=2, elem=POINTER)),
+    pytest.param("i" + "7" * 5000, OPAQUE, id="i777..."),  # past int()'s digit limit
+    pytest.param("<1 x " * 1200 + "i32" + ">" * 1200, OPAQUE,
+                 id="<1 x <1 x ...>>"),                   # past the recursion limit
 ])
 def test_parse_type_token(token, expected):
     assert parse_type_token(token) == expected
 
 
+def test_type_tokens_past_the_length_bound_are_opaque():
+    assert len("i" + "0" * 253 + "64") == ir.MAX_TYPE_TOKEN
+    assert parse_type_token("i" + "0" * 254 + "64") == OPAQUE
+    vector = "<2 x i" + "0" * (ir.MAX_TYPE_TOKEN - 8) + "8>"
+    assert len(vector) == ir.MAX_TYPE_TOKEN
+    assert parse_type_token(vector) == ValueType("vector", count=2, elem=ir.INT8)
+    assert parse_type_token(vector.replace("<2", "<02")) == OPAQUE
+    # a pointer is known from its last character, whatever its length
+    assert parse_type_token("%struct." + "x" * 1000 + "*") == POINTER
+
+
+def test_type_tokens_and_registers_are_shared():
+    unit = parse_trace("%a = add i32 %x, %x\n%b = mul i32 %a, %x\n%a = sub i32 %b, %a", "t")
+    add, mul, sub = unit.instructions
+    assert add.result_type is mul.result_type is sub.result_type
+    assert add.sources[0] is add.sources[1] is mul.sources[1]
+    assert add.dest is mul.sources[0] is sub.dest is sub.sources[1]
+    ll = parse_ll("%t = add i32 %x, %x\n"
+                  "define i32 @f(i32 %x) {\n  %a = add i32 %x, %x\n  ret i32 %a\n}\n"
+                  "define i32 @g(i32 %x) {\n  ret i32 %x\n}\n"
+                  "%u = add i32 %x, %t\n", "t")
+    t, f_add, f_ret, g_ret, u = ll.instructions
+    assert f_add.sources[0] is f_add.sources[1] and f_add.dest is f_ret.sources[0]
+    assert g_ret.sources[0] == Register("x", "g") != f_add.sources[0]
+    assert u.sources[0] is t.sources[0] and u.sources[1] is t.dest
+
+
 def test_format_type_inverts_parse():
     for tok in ["i1", "i8", "i16", "i32", "i64", "float", "double", "ptr",
-                "void", "opaque", "<4 x i32>", "<2 x <2 x double>>"]:
+                "void", "opaque", "<4 x i32>", "<2 x <2 x double>>",
+                "<1 x " * 41 + "i8" + ">" * 41]:
         assert ir.format_type(parse_type_token(tok)) == tok
 
 
@@ -290,6 +324,25 @@ def test_fallback_accounts_for_every_register(tokens, dest):
     line = f"%{dest} = weird.op " + ", ".join(f"%{t}" for t in tokens)
     (inst,) = parse_trace(line, "prop").instructions
     assert [r.name for r in inst.sources] == tokens
+
+
+_FRAGMENTS = ["%a", "%b", " = ", ", ", "add", "icmp", "slt", "load", "store",
+              "getelementptr", "alloca", "call", "@f(", ")", "br", "label", "ret",
+              "void", "i1", "i32", "i64", "i064", "double", "ptr", "*", "<4 x ", ">",
+              " ; addr=0x1f", ";", "define i32 @g(i32 %x) {", "}", "bb:", "target x",
+              "\n", "\t", "\r"]
+
+
+@given(st.lists(st.one_of(st.sampled_from(_FRAGMENTS), st.text(max_size=6)), max_size=40),
+       st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_arbitrary_text_raises_only_malgraph_errors(parts, static):
+    text = "".join(parts)
+    try:
+        unit = (parse_ll if static else parse_trace)(text, "fuzz")
+    except MalgraphError:
+        return
+    assert [i.index for i in unit.instructions] == list(range(len(unit.instructions)))
 
 
 @given(st.lists(_line(), min_size=1, max_size=15))
