@@ -60,16 +60,22 @@ class OpVocabulary:
         return self._lookup.get(op, 0)
 
 
-@dataclass(frozen=True)
+def _undirected_arcs(edge_index: np.ndarray, n: int):
+    """(tail, head) of the arcs both ways of each edge, sorted, repeats once."""
+    src, dst = edge_index
+    return np.divmod(np.unique(np.concatenate([src * n + dst, dst * n + src])), n)
+
+
+@dataclass(frozen=True, eq=False)
 class GraphSample:
-    """A model-ready graph: vocabulary indices plus kind-erased edges.
+    """A model-ready graph: vocabulary indices and the 2×E `edge_index`.
 
     `agg` is the graph's neighbour-mean matrix, built on first use and kept,
     so every batch and epoch that sees the sample reuses it.
     """
 
     node_ops: tuple[int, ...]
-    edges: tuple[tuple[int, int], ...]
+    edge_index: np.ndarray
     label: int | None = None
     family: str | None = None
 
@@ -86,10 +92,7 @@ class GraphSample:
         isolated node's row is zero.  Columns are sorted within each row.
         """
         n = self.num_nodes
-        ends = np.array(self.edges, dtype=np.int64).reshape(-1, 2)
-        key = np.unique(np.concatenate([ends[:, 1] * n + ends[:, 0],
-                                        ends[:, 0] * n + ends[:, 1]]))
-        row, col = np.divmod(key, n)
+        row, col = _undirected_arcs(self.edge_index, n)
         deg = np.bincount(row, minlength=n)
         indptr = np.concatenate(([0], np.cumsum(deg)))
         return sp.csr_matrix((1.0 / deg[row], col, indptr), shape=(n, n))
@@ -111,21 +114,17 @@ def build_vocab(graphs) -> OpVocabulary:
         raise EmptyDataset("cannot build a vocabulary from zero graphs")
     ops = set()
     for g in graphs:
-        ops.update(n.opcode for n in g.nodes)
+        ops.update(g.ops)
     ops.discard(UNK)
     return OpVocabulary(names=(UNK, *sorted(ops)))
 
 
 def encode(g: DepGraph, vocab: OpVocabulary) -> GraphSample:
     """Map a graph onto a vocabulary; unseen opcodes go to index 0."""
-    if not g.nodes:
+    if not g.num_nodes:
         raise EmptyGraph(f"cannot encode empty graph {g.origin!r}")
-    return GraphSample(
-        node_ops=tuple(vocab.index_of(n.opcode) for n in g.nodes),
-        edges=tuple((e.src, e.dst) for e in g.edges),
-        label=g.label,
-        family=g.family,
-    )
+    return GraphSample(node_ops=tuple(map(vocab.index_of, g.ops)),
+                       edge_index=g.edge_index, label=g.label, family=g.family)
 
 
 def one_hot(node_ops, size: int) -> np.ndarray:
@@ -200,17 +199,14 @@ def _brandes_block(sources, indptr, step):
 def _centralities(g: DepGraph):
     """Per-node (degree, closeness, betweenness) arrays of a non-empty graph."""
     n = g.num_nodes
-    ends = np.array([(e.src, e.dst) for e in g.edges], dtype=np.int64).reshape(-1, 2)
-    ends = ends[ends[:, 0] != ends[:, 1]]
-    key = np.unique(np.concatenate([ends[:, 0] * n + ends[:, 1],
-                                    ends[:, 1] * n + ends[:, 0]]))
-    tail, head = np.divmod(key, n)
+    tail, head = _undirected_arcs(g.edge_index, n)
+    tail, head = tail[tail != head], head[tail != head]  # self-loops carry no path
     step = head - tail
     deg = np.bincount(tail, minlength=n)
     indptr = np.concatenate(([0], np.cumsum(deg)))
     closeness = np.zeros(n)
     cb = np.zeros(n)
-    block = max(1, _BLOCK_CELLS // max(len(key), n))
+    block = max(1, _BLOCK_CELLS // max(len(tail), n))
     for first in range(0, n, block):
         sources = np.arange(first, min(first + block, n))
         dist, delta = _brandes_block(sources, indptr, step)
@@ -227,7 +223,7 @@ def _centralities(g: DepGraph):
 
 
 def topo_features(g: DepGraph) -> TopoFeatures:
-    if not g.nodes:
+    if not g.num_nodes:
         raise EmptyGraph(f"no topology for empty graph {g.origin!r}")
     n = g.num_nodes
     degree, closeness, betweenness = _centralities(g)

@@ -1,4 +1,4 @@
-"""Weighted instruction-dependency graphs.
+"""Weighted instruction-dependency graphs, held as columns.
 
 Nodes are trace instructions; a data edge producer → consumer is inserted when
 a consumer's source register resolves, under the most-recent-definition rule,
@@ -18,48 +18,48 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .errors import EmptyGraph, GraphFormatError, IoError, MalformedFile, VersionMismatch
 from .ir import TraceUnit, ValueType, format_type, parse_type_token, sizeof_type
 
-EDGE_KINDS = ("data", "control", "memory")
+# In name order, so sorting by kind index sorts by kind name.
+EDGE_KINDS = ("control", "data", "memory")
+CONTROL, DATA, MEMORY = range(3)
 
 
-@dataclass(frozen=True)
-class DepNode:
-    id: int
-    opcode: str
-    result_type: ValueType
-
-
-@dataclass(frozen=True)
-class DepEdge:
-    src: int
-    dst: int
-    weight: int
-    kind: str
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DepGraph:
-    """Immutable dependency graph; `edges` is always sorted by (src, dst, kind)."""
+    """Immutable graph in the COO layout of PyTorch Geometric (Fey & Lenssen 2019).
 
-    nodes: tuple[DepNode, ...]
-    edges: tuple[DepEdge, ...]
+    `edge_index` (2×E int64) holds each edge's (src, dst), sorted by (src, dst, kind);
+    `edge_kind` indexes `EDGE_KINDS`; `edge_weight` holds Python ints, which can pass int64.
+    """
+
+    ops: tuple[str, ...]
+    types: tuple[ValueType, ...]
+    edge_index: np.ndarray
+    edge_kind: np.ndarray
+    edge_weight: tuple[int, ...]
     label: int | None = None
     family: str | None = None
     origin: str = ""
 
     @property
     def num_nodes(self) -> int:
-        return len(self.nodes)
+        return len(self.ops)
 
     @property
     def num_edges(self) -> int:
-        return len(self.edges)
+        return self.edge_index.shape[1]
 
 
-def _sort_edges(edges) -> tuple[DepEdge, ...]:
-    return tuple(sorted(edges, key=lambda e: (e.src, e.dst, e.kind)))
+def _edge_columns(keys: np.ndarray, n: int):
+    """Read-only (edge_index, edge_kind) of sorted keys (src*n + dst)*3 + kind."""
+    pair, kind = np.divmod(keys, 3)
+    edge_index = np.stack(np.divmod(pair, n))
+    edge_index.flags.writeable = kind.flags.writeable = False
+    return edge_index, kind
 
 
 def build_graph(unit: TraceUnit, *, control_edges: bool = False,
@@ -71,31 +71,34 @@ def build_graph(unit: TraceUnit, *, control_edges: bool = False,
     and data edges always point strictly forward in trace order.
     """
     insts = unit.instructions
-    nodes = tuple(DepNode(i.index, i.opcode, i.result_type) for i in insts)
-
-    keys: set[tuple[int, int, str]] = set()
+    n = len(insts)
+    keys = []
     last_def = {}
     last_store = {}
-    for inst in insts:
+    for i, inst in enumerate(insts):
         for src in inst.sources:
             p = last_def.get(src)
             if p is not None:
-                keys.add((p, inst.index, "data"))
+                keys.append((p * n + i) * 3 + DATA)
         if memory_edges and inst.opcode == "load" and inst.mem_addr is not None:
             p = last_store.get(inst.mem_addr)
             if p is not None:
-                keys.add((p, inst.index, "memory"))
-        if control_edges and inst.opcode in ("br", "ret") and inst.index + 1 < len(insts):
-            keys.add((inst.index, inst.index + 1, "control"))
+                keys.append((p * n + i) * 3 + MEMORY)
+        if control_edges and inst.opcode in ("br", "ret") and i + 1 < n:
+            keys.append((i * n + i + 1) * 3 + CONTROL)
         if inst.dest is not None:
-            last_def[inst.dest] = inst.index
+            last_def[inst.dest] = i
         if memory_edges and inst.opcode == "store" and inst.mem_addr is not None:
-            last_store[inst.mem_addr] = inst.index
+            last_store[inst.mem_addr] = i
 
-    # weights once per distinct edge: the producer's result size, 1 for control
-    edges = tuple(DepEdge(s, d, 1 if k == "control" else sizeof_type(insts[s].result_type), k)
-                  for s, d, k in sorted(keys))
-    return DepGraph(nodes=nodes, edges=edges, origin=unit.origin)
+    # one sort drops repeated edges; weight = the producer's size, 1 for control
+    edge_index, edge_kind = _edge_columns(np.unique(np.array(keys, dtype=np.int64)), n)
+    types = tuple(inst.result_type for inst in insts)
+    weight = np.array([sizeof_type(t) for t in types], dtype=object)[edge_index[0]]
+    weight[edge_kind == CONTROL] = 1
+    return DepGraph(ops=tuple(inst.opcode for inst in insts), types=types,
+                    edge_index=edge_index, edge_kind=edge_kind,
+                    edge_weight=tuple(weight.tolist()), origin=unit.origin)
 
 
 # --- interchange format -----------------------------------------------------
@@ -107,10 +110,10 @@ def to_json(g: DepGraph) -> bytes:
         "origin": g.origin,
         "label": g.label,
         "family": g.family,
-        "nodes": [{"id": n.id, "op": n.opcode, "type": format_type(n.result_type)}
-                  for n in g.nodes],
-        "edges": [{"src": e.src, "dst": e.dst, "w": e.weight, "kind": e.kind}
-                  for e in g.edges],
+        "nodes": [{"id": i, "op": op, "type": format_type(t)}
+                  for i, (op, t) in enumerate(zip(g.ops, g.types))],
+        "edges": [{"src": s, "dst": d, "w": w, "kind": EDGE_KINDS[k]} for s, d, w, k
+                  in zip(*g.edge_index.tolist(), g.edge_weight, g.edge_kind.tolist())],
     }
     return json.dumps(obj, separators=(",", ":")).encode("utf-8")
 
@@ -150,14 +153,12 @@ def from_json(data) -> DepGraph:
         if not (isinstance(item, dict) and type(item.get("id")) is int
                 and isinstance(item.get("op"), str) and isinstance(item.get("type"), str)):
             raise GraphFormatError(f"bad node entry: {item!r}")
-        nodes.append(DepNode(item["id"], item["op"], parse_type_token(item["type"])))
-    nodes.sort(key=lambda n: n.id)
-    _require([n.id for n in nodes] == list(range(len(nodes))),
-             "node ids must be dense 0..n-1")
+        nodes.append((item["id"], item["op"], parse_type_token(item["type"])))
+    ids, ops, types = zip(*sorted(nodes, key=lambda node: node[0]))
+    _require(list(ids) == list(range(len(nodes))), "node ids must be dense 0..n-1")
 
     n = len(nodes)
-    edges = []
-    seen = set()
+    edges = {}  # key (src*n + dst)*3 + kind → weight
     for item in obj["edges"]:
         if not (isinstance(item, dict) and type(item.get("src")) is int
                 and type(item.get("dst")) is int and type(item.get("w")) is int
@@ -168,13 +169,15 @@ def from_json(data) -> DepGraph:
             raise GraphFormatError(f"edge endpoint out of range: {item!r}")
         if w < 1:
             raise GraphFormatError(f"edge weight must be >= 1: {item!r}")
-        key = (src, dst, item["kind"])
-        if key in seen:
-            raise GraphFormatError(f"duplicate edge {key!r}")
-        seen.add(key)
-        edges.append(DepEdge(src, dst, w, item["kind"]))
+        key = (src * n + dst) * 3 + EDGE_KINDS.index(item["kind"])
+        if key in edges:
+            raise GraphFormatError(f"duplicate edge {(src, dst, item['kind'])!r}")
+        edges[key] = w
 
-    return DepGraph(nodes=tuple(nodes), edges=_sort_edges(edges),
+    keys = sorted(edges)
+    edge_index, edge_kind = _edge_columns(np.array(keys, dtype=np.int64), n)
+    return DepGraph(ops=ops, types=types, edge_index=edge_index, edge_kind=edge_kind,
+                    edge_weight=tuple(map(edges.get, keys)),
                     label=label, family=family, origin=origin)
 
 

@@ -495,104 +495,3 @@ def parse_trace(text: str, origin) -> TraceUnit:
     resolved downstream.
     """
     return _parse_unit(text, str(origin), DYNAMIC_TRACE)
-
-
-def _strict_printable(inst: Instruction) -> bool:
-    op = inst.opcode
-    if op in ("icmp", "fcmp"):
-        return inst.result_type == INT1 and len(inst.sources) >= 1
-    if op in BINARY_OPCODES:
-        return len(inst.sources) >= 1
-    if op == "load":
-        return len(inst.sources) == 1
-    if op == "store":
-        return len(inst.sources) == 2
-    if op == "getelementptr":
-        return inst.result_type == POINTER and len(inst.sources) >= 1
-    if op == "alloca":
-        return inst.result_type == POINTER and not inst.sources
-    if op == "call":
-        if inst.dest is None:
-            return inst.result_type == VOID
-        return inst.result_type != VOID
-    if op == "br":
-        return len(inst.sources) in (1, 3)
-    if op == "ret":
-        return (inst.result_type == VOID and not inst.sources) or len(inst.sources) == 1
-    return False
-
-
-def format_instruction(inst: Instruction) -> str:
-    """Canonical one-line rendering; reparsing yields an equal Instruction.
-
-    Details the parser does not retain (comparison predicates, callee names,
-    pointee/operand types) are printed as fixed placeholders.
-    """
-    op = inst.opcode
-    names = [f"%{r.name}" for r in inst.sources]
-    annot = ""
-    if inst.mem_addr is not None and op in ("load", "store"):
-        annot = f" ; addr=0x{inst.mem_addr:x}"
-
-    if _strict_printable(inst):
-        ty = format_type(inst.result_type)
-        if op in ("icmp", "fcmp"):
-            pred = "eq" if op == "icmp" else "oeq"
-            body = f"{op} {pred} i64 " + ", ".join(names)
-        elif op in BINARY_OPCODES:
-            body = f"{op} {ty} " + ", ".join(names)
-        elif op == "load":
-            body = f"load {ty}, {ty}* {names[0]}{annot}"
-        elif op == "store":
-            body = f"store {ty} {names[0]}, {ty}* {names[1]}{annot}"
-        elif op == "getelementptr":
-            parts = [f"opaque* {names[0]}"] + [f"i64 {n}" for n in names[1:]]
-            body = "getelementptr opaque, " + ", ".join(parts)
-        elif op == "alloca":
-            body = "alloca i8"
-        elif op == "call":
-            arg_list = ", ".join(f"opaque {n}" for n in names)
-            body = f"call {ty} @f({arg_list})"
-        elif op == "br":
-            if len(names) == 1:
-                body = f"br label {names[0]}"
-            else:
-                body = f"br i1 {names[0]}, label {names[1]}, label {names[2]}"
-        else:  # ret
-            body = "ret void" if not names else f"ret {ty} {names[0]}"
-    else:
-        body = op if not names else f"{op} " + ", ".join(names)
-        if inst.mem_addr is not None and op in ("load", "store"):
-            body += annot
-
-    if inst.dest is not None:
-        return f"%{inst.dest.name} = {body}"
-    return body
-
-
-def format_unit(unit: TraceUnit) -> str:
-    """Render a TraceUnit back to text; parse(format_unit(u)) equals u."""
-    lines: list[str] = []
-    cur_fn = ""
-    cur_block = ""
-    for inst in unit.instructions:
-        if inst.function != cur_fn:
-            if cur_fn:
-                lines.append("}")
-            if inst.function:
-                params = sorted(
-                    (r for r in unit.args if r.scope == inst.function),
-                    key=lambda r: r.name,
-                )
-                plist = ", ".join(f"opaque %{r.name}" for r in params)
-                lines.append(f"define opaque @{inst.function}({plist}) {{")
-            cur_fn = inst.function
-            cur_block = "entry" if inst.function else ""
-        if inst.function and inst.block != cur_block:
-            lines.append(f"{inst.block}:")
-            cur_block = inst.block
-        prefix = "  " if inst.function else ""
-        lines.append(prefix + format_instruction(inst))
-    if cur_fn:
-        lines.append("}")
-    return "\n".join(lines) + "\n"

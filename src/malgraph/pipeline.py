@@ -93,16 +93,21 @@ class Manifest:
 def load_manifest(path) -> Manifest:
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        data = path.read_bytes()
     except OSError as e:
         raise IoError(f"cannot read {path}: {e}") from None
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        line_no = data.count(b"\n", 0, e.start) + 1
+        raise MalformedFile(str(path), f"line {line_no}: not UTF-8 text: {e}") from None
     entries = []
     for line_no, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as e:
+        except (ValueError, RecursionError) as e:  # ValueError covers int-size errors
             raise MalformedFile(str(path), f"line {line_no}: not valid JSON: {e}") from None
         if not isinstance(obj, dict):
             raise MalformedFile(str(path), f"line {line_no}: expected an object")

@@ -49,8 +49,10 @@ class ArchConfig:
     activation: str = "leaky_relu"
 
     def __post_init__(self):
-        if min(self.vocab_size, self.embed_dim, self.hidden_dim,
-               self.num_sage_layers) < 1:
+        dims = (self.vocab_size, self.embed_dim, self.hidden_dim, self.num_sage_layers)
+        if not all(type(d) is int for d in dims) or type(self.use_embedding) is not bool:
+            raise TypeError("dimensions must be ints and use_embedding a bool")
+        if min(dims) < 1:
             raise ValueError("all dimensions must be >= 1")
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"activation must be one of {ACTIVATIONS}")
@@ -335,7 +337,7 @@ def _expected_shapes(arch: ArchConfig) -> dict:
 def _tensor(obj, name: str, expect) -> np.ndarray:
     try:
         arr = np.asarray(obj, dtype=float) if obj is not None else None
-    except (ValueError, TypeError):
+    except (ValueError, TypeError, OverflowError):
         raise GraphFormatError(f"tensor {name!r} is not rectangular numeric data") from None
     if arr is None or arr.shape != expect:
         raise ShapeMismatch(
@@ -350,7 +352,7 @@ def model_from_json(data):
     """Parse a model document; returns (ModelParams, OpVocabulary)."""
     try:
         obj = json.loads(data)
-    except (json.JSONDecodeError, UnicodeDecodeError, ValueError) as e:
+    except (ValueError, RecursionError) as e:  # ValueError covers decode and int-size errors
         raise GraphFormatError(f"not valid JSON: {e}") from None
     if not isinstance(obj, dict):
         raise GraphFormatError("top level must be an object")

@@ -21,7 +21,7 @@ from malgraph.analytics import (
 )
 from malgraph.cli import main as cli_main
 from malgraph.corpus import CorpusSpec, generate
-from malgraph.depgraph import DepEdge, DepGraph, DepNode, build_graph
+from malgraph.depgraph import DATA, DepGraph, build_graph
 from malgraph.ir import INT64, parse_trace, sizeof_type
 from malgraph.pipeline import TrainConfig, auroc, load_dataset, train
 from malgraph.sage import (
@@ -52,6 +52,17 @@ HARD_MIN_ACC = 0.90
 PINNED_TEST_ACC = 0.975
 PINNED_TEST_AUROC = 0.9974
 PINNED_TOL = 1e-6
+
+
+def _edge_index(pairs):
+    """The 2×E edge_index of (src, dst) pairs."""
+    return np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+
+
+def _data_graph(n, pairs):
+    """n i64 `add` nodes joined by the data edges `pairs`, weight 8 each."""
+    return DepGraph(ops=("add",) * n, types=(INT64,) * n, edge_index=_edge_index(pairs),
+                    edge_kind=np.full(len(pairs), DATA), edge_weight=(8,) * len(pairs))
 
 
 # ------------------------------------------------------------------ 1
@@ -105,8 +116,9 @@ def test_dependency_edges_match_rescan_oracle():
         unit, n = _random_trace_unit(rng)
         assert len(unit.instructions) == n
         g = build_graph(unit)
-        got = {(e.src, e.dst, e.weight) for e in g.edges}
-        assert all(e.kind == "data" for e in g.edges)
+        src, dst = g.edge_index.tolist()
+        got = set(zip(src, dst, g.edge_weight))
+        assert (g.edge_kind == DATA).all()
         assert got == _data_edge_oracle(unit)
 
 
@@ -116,7 +128,8 @@ def test_two_instruction_worked_example():
     unit = parse_trace("%3 = sub i32 %1, %2\n%5 = sub i32 %3, %4\n", "ex")
     g = build_graph(unit)
     assert g.num_nodes == 2
-    assert g.edges == (DepEdge(src=0, dst=1, weight=4, kind="data"),)
+    assert g.edge_index.tolist() == [[0], [1]]
+    assert g.edge_kind.tolist() == [DATA] and g.edge_weight == (4,)
 
 
 # ------------------------------------------------------------------ 3
@@ -127,7 +140,7 @@ def test_gradients_match_finite_differences():
     ops = [int(rng.integers(0, 4)) for _ in range(n)]
     pairs = {(int(rng.integers(0, n)), int(rng.integers(0, n))) for _ in range(8)}
     edges = tuple(sorted(pairs))
-    sample = GraphSample(node_ops=tuple(ops), edges=edges, label=1)
+    sample = GraphSample(node_ops=tuple(ops), edge_index=_edge_index(edges), label=1)
     labels = np.array([1.0])
 
     arch = ArchConfig(vocab_size=4, embed_dim=8, hidden_dim=8, num_sage_layers=6)
@@ -178,14 +191,15 @@ def test_scores_invariant_under_node_relabeling():
                         for _ in range(m)})
         ops = tuple(int(v) for v in rng.integers(0, 6, size=n))
         rng.integers(1, 9, size=len(pairs))  # unused; keeps the later seeded draws
-        g = GraphSample(node_ops=ops, edges=tuple(pairs), label=None)
+        g = GraphSample(node_ops=ops, edge_index=_edge_index(pairs), label=None)
 
         perm = rng.permutation(n)
         new_ops = [0] * n
         for old, new in enumerate(perm):
             new_ops[new] = ops[old]
         new_edges = tuple((int(perm[a]), int(perm[b])) for a, b in pairs)
-        h = GraphSample(node_ops=tuple(new_ops), edges=new_edges, label=None)
+        h = GraphSample(node_ops=tuple(new_ops), edge_index=_edge_index(new_edges),
+                        label=None)
 
         s1, _ = forward(params, [g])
         s2, _ = forward(params, [h])
@@ -249,10 +263,10 @@ def _sigma_counts(n, neighbors, dist):
 def _centrality_oracles(g):
     n = g.num_nodes
     neighbors = [set() for _ in range(n)]
-    for e in g.edges:
-        if e.src != e.dst:
-            neighbors[e.src].add(e.dst)
-            neighbors[e.dst].add(e.src)
+    for src, dst in g.edge_index.T.tolist():
+        if src != dst:
+            neighbors[src].add(dst)
+            neighbors[dst].add(src)
     degree = [len(neighbors[v]) / (n - 1) for v in range(n)]
     dist = _fw_distances(n, neighbors)
 
@@ -287,9 +301,7 @@ def _random_depgraph(rng):
     m = int(rng.integers(0, 2 * n + 1))
     pairs = sorted({(int(rng.integers(0, n)), int(rng.integers(0, n)))
                     for _ in range(m)})
-    nodes = tuple(DepNode(i, "add", INT64) for i in range(n))
-    edges = tuple(DepEdge(a, b, 8, "data") for a, b in pairs)
-    return DepGraph(nodes=nodes, edges=edges)
+    return _data_graph(n, pairs)
 
 
 def test_centralities_match_enumeration_oracle():
@@ -322,16 +334,12 @@ def test_betweenness_exact_when_path_counts_exceed_float64():
         pairs += [(a + i, a + width + j) for i in range(width) for j in range(width)]
     last = 1 + (layers - 1) * width
     pairs += [(last + j, n - 1) for j in range(width)]
-    nodes = tuple(DepNode(i, "add", INT64) for i in range(n))
-    edges = tuple(DepEdge(a, b, 8, "data") for a, b in pairs)
-    tf = topo_features(DepGraph(nodes=nodes, edges=edges))
+    tf = topo_features(_data_graph(n, pairs))
     assert abs(tf.avg_betweenness_centrality - 0.11079465730981769) < CENTRALITY_TOL
 
 
 def test_path_graph_closed_forms():
-    nodes = tuple(DepNode(i, "add", INT64) for i in range(3))
-    edges = (DepEdge(0, 1, 8, "data"), DepEdge(1, 2, 8, "data"))
-    tf = topo_features(DepGraph(nodes=nodes, edges=edges))
+    tf = topo_features(_data_graph(3, [(0, 1), (1, 2)]))
     assert abs(tf.avg_degree_centrality - 2 / 3) < CLOSED_FORM_TOL
     assert abs(tf.avg_closeness_centrality - 7 / 9) < CLOSED_FORM_TOL
     assert abs(tf.avg_betweenness_centrality - 1 / 3) < CLOSED_FORM_TOL

@@ -20,17 +20,23 @@ from malgraph.analytics import (
     one_hot,
     topo_features,
 )
-from malgraph.depgraph import DepEdge, DepGraph, DepNode
+from malgraph.depgraph import EDGE_KINDS, DepGraph
 from malgraph.errors import EmptyDataset, EmptyGraph
 from malgraph.ir import INT32
 
 
+def columns(ops, edges, **meta):
+    """A DepGraph of i32 nodes with edges (src, dst, kind), in the given order."""
+    src, dst, kind = zip(*edges) if edges else ((), (), ())
+    return DepGraph(ops=tuple(ops), types=(INT32,) * len(ops),
+                    edge_index=np.array([src, dst], dtype=np.int64).reshape(2, -1),
+                    edge_kind=np.array([EDGE_KINDS.index(k) for k in kind], dtype=np.int64),
+                    edge_weight=(4,) * len(edges), **meta)
+
+
 def make_graph(n, pairs, label=None, family=None, ops=None, origin="mem"):
-    ops = ops or ["add"] * n
-    nodes = tuple(DepNode(i, ops[i], INT32) for i in range(n))
-    edges = tuple(DepEdge(u, v, 4, "data")
-                  for (u, v) in sorted(set(pairs)))
-    return DepGraph(nodes=nodes, edges=edges, label=label, family=family, origin=origin)
+    return columns(ops or ["add"] * n, [(u, v, "data") for u, v in sorted(set(pairs))],
+                   label=label, family=family, origin=origin)
 
 
 def undirected_sets(n, pairs):
@@ -146,7 +152,7 @@ def test_single_node():
 def test_star_center_degree_is_one():
     g = make_graph(5, [(0, i) for i in range(1, 5)])
     n = g.num_nodes
-    adj = undirected_sets(n, [(e.src, e.dst) for e in g.edges])
+    adj = undirected_sets(n, g.edge_index.T.tolist())
     assert len(adj[0]) / (n - 1) == 1.0
     tf = topo_features(g)
     # center: deg 1.0, leaves 0.25 each → (1 + 4*0.25)/5
@@ -181,7 +187,7 @@ def test_disconnected_closeness_is_reachable_scaled():
 
 def test_empty_graph_rejected():
     with pytest.raises(EmptyGraph):
-        topo_features(DepGraph(nodes=(), edges=()))
+        topo_features(columns([], []))
 
 
 # --- oracle comparisons -------------------------------------------------------
@@ -245,10 +251,8 @@ def _block_test_graphs():
 
 def _with_duplicate_kinds(n, pairs):
     """Every (u, v) pair as both a data and a memory edge, self-loops kept."""
-    nodes = tuple(DepNode(i, "add", INT32) for i in range(n))
-    edges = tuple(DepEdge(u, v, 4, kind)
-                  for (u, v) in sorted(set(pairs)) for kind in ("data", "memory"))
-    return DepGraph(nodes=nodes, edges=edges)
+    return columns(["add"] * n, [(u, v, kind) for (u, v) in sorted(set(pairs))
+                                 for kind in ("data", "memory")])
 
 
 @pytest.mark.parametrize("cells", [1, 100, 400])
@@ -320,14 +324,14 @@ def test_encode_lookup_and_unknown():
     g = make_graph(2, [(0, 1)], ops=["sub", "sub"], label=1, family="worm")
     s = encode(g, vocab)
     assert s.node_ops == (2, 2)
-    assert s.edges == ((0, 1),)
+    assert s.edge_index.tolist() == [[0], [1]]
     assert s.label == 1 and s.family == "worm"
 
     g2 = make_graph(1, [], ops=["cmpxchg"])
     assert encode(g2, vocab).node_ops == (0,)
 
     with pytest.raises(EmptyGraph):
-        encode(DepGraph(nodes=(), edges=()), vocab)
+        encode(columns([], []), vocab)
 
 
 def _mean_matrix_oracle(n, edges):
@@ -343,8 +347,14 @@ def _mean_matrix_oracle(n, edges):
     return out
 
 
+def sample(n, edges):
+    """A GraphSample of n nodes and the (src, dst) pairs `edges`."""
+    return GraphSample(node_ops=(0,) * n,
+                       edge_index=np.array(edges, dtype=np.int64).reshape(-1, 2).T)
+
+
 def _check_agg(n, edges):
-    agg = GraphSample(node_ops=(0,) * n, edges=tuple(edges)).agg
+    agg = sample(n, edges).agg
     assert agg.shape == (n, n)
     assert np.array_equal(agg.toarray(), _mean_matrix_oracle(n, edges))
     for v in range(n):
@@ -357,7 +367,7 @@ def test_agg_example_with_loops_duplicates_and_isolated_nodes():
     # neighbour 1, 3 and 4 are isolated
     edges = [(0, 1), (0, 1), (1, 0), (2, 2), (1, 2)]
     _check_agg(5, edges)
-    dense = GraphSample(node_ops=(0,) * 5, edges=tuple(edges)).agg.toarray()
+    dense = sample(5, edges).agg.toarray()
     assert dense[0].tolist() == [0.0, 1.0, 0.0, 0.0, 0.0]
     assert dense[1].tolist() == [0.5, 0.0, 0.5, 0.0, 0.0]
     assert dense[2].tolist() == [0.0, 0.5, 0.5, 0.0, 0.0]
@@ -372,7 +382,7 @@ def test_agg_matches_neighbour_set_oracle(case):
 
 
 def test_agg_built_once():
-    s = GraphSample(node_ops=(0, 0), edges=((0, 1),))
+    s = sample(2, [(0, 1)])
     assert s.agg is s.agg
 
 

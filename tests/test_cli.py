@@ -6,14 +6,21 @@ import pytest
 
 from malgraph import corpus, pipeline
 from malgraph.cli import main
-from malgraph.depgraph import DepEdge, DepGraph, DepNode, save_graph, to_json
-from malgraph.ir import INT64
+from malgraph.depgraph import from_json, to_json
 from malgraph.pipeline import Manifest, ManifestEntry, load_dataset
 
 TWO_LINE_TRACE = "%1 = add i64 %in, %in\n%2 = mul i64 %1, %1\n"
 SMALL_LL = ("define i32 @f(i32 %x) {\n  %a = mul i32 %x, %x\n"
             "  store i32 %a, i32* %p ; addr=0x8\n  %b = load i32, i32* %p ; addr=0x8\n"
             "  ret i32 %b\n}\n")
+
+
+def graph_doc(ops, pairs):
+    """Graph JSON of i64 nodes `ops` joined by the weight-8 data edges `pairs`."""
+    return json.dumps({
+        "version": 1, "origin": "", "label": None, "family": None,
+        "nodes": [{"id": i, "op": op, "type": "i64"} for i, op in enumerate(ops)],
+        "edges": [{"src": s, "dst": d, "w": 8, "kind": "data"} for s, d in pairs]})
 
 
 def run(argv, capsys):
@@ -164,6 +171,22 @@ def test_compile_edge_flags_add_edges(tmp_path, capsys):
     assert code == 0 and "2 edges" in out
 
 
+def test_compile_keeps_a_weight_past_int64(tmp_path, capsys):
+    # a vector's byte size is a Python int: 8 * 10**40 bytes has 41 digits
+    count = 10**40
+    src = tmp_path / "v.trace"
+    src.write_text(f"%v = load <{count} x i64>, ptr %p\n%w = add i64 %v, %v\n")
+    code, out, _ = run(["compile", src, "--out", tmp_path / "a"], capsys)
+    assert code == 0 and "2 nodes, 1 edge" in out
+    data = (tmp_path / "a" / "v.json").read_bytes()
+    assert json.loads(data)["edges"] == [{"src": 0, "dst": 1, "w": 8 * count, "kind": "data"}]
+    assert to_json(from_json(data)) == data
+    code, _, _ = run(["compile", tmp_path / "a" / "v.json", "--out", tmp_path / "b"], capsys)
+    assert code == 0 and (tmp_path / "b" / "v.json").read_bytes() == data
+    code, out, _ = run(["features", tmp_path / "a" / "v.json"], capsys)
+    assert code == 0 and out.splitlines()[1].endswith(",2,1,1.000000,1.000000,0.000000")
+
+
 _HUGE_INT = "i" + "7" * 5000
 _DEEP_VECTOR = "<1 x " * 1200 + "i32" + ">" * 1200
 
@@ -286,6 +309,22 @@ def test_train_missing_manifest_exits_1(tmp_path, capsys):
     assert "nope.jsonl" in err
 
 
+@pytest.mark.parametrize("data, detail", [
+    (b'{"path":"a","label":1' + b"0" * 5000 + b',"family":"x"}\n', "line 1: not valid JSON"),
+    (b'{"path":"a","label":1,"family":"x"}\n{"path":"caf\xe9","label":0,"family":"x"}\n',
+     "line 2: not UTF-8 text"),
+    (b"\n" + b"[" * 100_000 + b"]" * 100_000 + b"\n", "line 2: not valid JSON"),
+], ids=["long_label", "non_utf8", "deep_nesting"])
+def test_train_malformed_manifest_names_file_and_line(tmp_path, capsys, data, detail):
+    manifest = tmp_path / "m.jsonl"
+    manifest.write_bytes(data)
+    code, out, err = run(["train", "--manifest", manifest, "--out", tmp_path / "x.json"],
+                         capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "m.jsonl" in err and detail in err
+
+
 # ---------------------------------------------------------------- predict
 
 def test_predict_line_format(trained, tmp_path, capsys):
@@ -307,12 +346,8 @@ def test_predict_line_format(trained, tmp_path, capsys):
 
 
 def test_predict_out_of_vocab_graph_scores(trained, tmp_path, capsys):
-    g = DepGraph(
-        nodes=(DepNode(0, "frobnicate", INT64), DepNode(1, "quux", INT64)),
-        edges=(DepEdge(0, 1, 8, "data"),),
-    )
     path = tmp_path / "odd.json"
-    save_graph(g, path)
+    path.write_text(graph_doc(["frobnicate", "quux"], [(0, 1)]))
     code, out, _ = run(["predict", "--model", trained / "model.json", path],
                        capsys)
     assert code == 0
@@ -336,7 +371,7 @@ def _predict_with_model(model: dict, tmp_path, capsys):
     path = tmp_path / "bad_model.json"
     path.write_text(json.dumps(model))
     graph = tmp_path / "g.json"
-    save_graph(DepGraph(nodes=(DepNode(0, "add", INT64),), edges=()), graph)
+    graph.write_text(graph_doc(["add"], []))
     return run(["predict", "--model", path, graph], capsys)
 
 
@@ -391,6 +426,20 @@ def test_predict_inconsistent_model_names_file(trained, tmp_path, capsys, corrup
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "bad_model.json" in err and detail in err
+
+
+@pytest.mark.parametrize("command", ["predict", "eval"])
+def test_deeply_nested_model_names_file(trained, tmp_path, capsys, command):
+    model = tmp_path / "deep.json"
+    model.write_bytes(b"[" * 100_000 + b"]" * 100_000)
+    graph = tmp_path / "g.json"
+    graph.write_text(graph_doc(["add"], []))
+    inputs = [graph] if command == "predict" else ["--manifest",
+                                                   trained / "c" / "manifest.jsonl"]
+    code, out, err = run([command, "--model", model, *inputs], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "deep.json" in err and "not valid JSON" in err
 
 
 # ---------------------------------------------------------------- eval
@@ -452,13 +501,8 @@ def test_eval_single_class_warns_and_omits_auroc(trained, tmp_path, capsys):
 # ---------------------------------------------------------------- features
 
 def test_features_p3_row(tmp_path, capsys):
-    g = DepGraph(
-        nodes=(DepNode(0, "add", INT64), DepNode(1, "mul", INT64),
-               DepNode(2, "xor", INT64)),
-        edges=(DepEdge(0, 1, 8, "data"), DepEdge(1, 2, 8, "data")),
-    )
     path = tmp_path / "p3.json"
-    save_graph(g, path)
+    path.write_text(graph_doc(["add", "mul", "xor"], [(0, 1), (1, 2)]))
     code, out, _ = run(["features", path], capsys)
     assert code == 0
     lines = out.splitlines()

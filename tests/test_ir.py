@@ -17,7 +17,6 @@ from malgraph.ir import (
     VOID,
     Register,
     ValueType,
-    format_unit,
     parse_ll,
     parse_trace,
     parse_type_token,
@@ -174,12 +173,6 @@ def test_golden_structure():
     assert unit.externals == frozenset({Register("then", "main"), Register("done", "main")})
 
 
-def test_golden_roundtrip():
-    unit = parse_ll(GOLDEN, "golden.ll")
-    again = parse_ll(format_unit(unit), "golden.ll")
-    assert again == unit
-
-
 def test_trace_allows_redefinition():
     text = "\n".join([
         "%a = add i32 %x, %y",
@@ -301,15 +294,6 @@ def _line(draw):
     if kind == 7:
         return f"br i1 %{a}, label %{b}, label %{c}"
     return f"%{d} = mystery.op %{a}, %{b}"
-
-
-@given(st.lists(_line(), min_size=1, max_size=20))
-@settings(max_examples=150)
-def test_parse_format_parse_is_stable(lines):
-    text = "\n".join(lines)
-    first = parse_trace(text, "prop")
-    second = parse_trace(format_unit(first), "prop")
-    assert second == first
 
 
 @given(st.lists(_line(), min_size=1, max_size=20))

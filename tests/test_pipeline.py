@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from malgraph.depgraph import build_graph, save_graph
@@ -201,6 +201,39 @@ def test_manifest_jsonl_rejections(tmp_path):
         load_manifest(tmp_path / "absent.jsonl")
 
 
+_MANIFEST_LINE = b'{"path":"a.trace","label":1,"family":"worm"}'
+_MANIFEST_NOISE = st.sampled_from([b"{", b"}", b'"', b",", b":", b"[", b"]", b"\n", b"\xe9",
+                                   b"\xff", b"0", b"9" * 5000, b"true", b"null", b"label",
+                                   b"path", b"family", b"a.trace", b"-1", b"1.0", b"\\"])
+
+
+@st.composite
+def _mutated_manifest(draw):
+    """Valid manifest lines with a few byte runs cut out or spliced in."""
+    data = b"\n".join([_MANIFEST_LINE.replace(b"a.trace", b"f%d" % i)
+                       for i in range(draw(st.integers(1, 3)))])
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(data)))
+        cut = draw(st.integers(0, 4))
+        data = data[:at] + draw(_MANIFEST_NOISE | st.binary(max_size=3)) + data[at + cut:]
+    return data
+
+
+@given(_mutated_manifest())
+@example(b"[" * 100_000 + b"]" * 100_000)
+@example(_MANIFEST_LINE.replace(b"1", b"1" * 5000))
+@settings(max_examples=300, deadline=None)
+def test_mutated_manifests_raise_only_malgraph_errors(tmp_path_factory, data):
+    p = tmp_path_factory.mktemp("fuzz") / "m.jsonl"
+    p.write_bytes(data)
+    try:
+        m = load_manifest(p)
+    except MalformedFile as e:
+        assert str(p) in str(e) and "\n" not in str(e)
+        return
+    assert all(e.label in (0, 1) and e.family for e in m.entries)
+
+
 def test_worker_count(monkeypatch):
     monkeypatch.delenv("MGN_THREADS", raising=False)
     assert worker_count() >= 1
@@ -259,7 +292,7 @@ def test_load_dataset_dispatch_and_override(tmp_path):
     # manifest label/family override whatever the file carried
     assert [(g.label, g.family) for g in graphs] == \
         [(0, "benign"), (1, "worm"), (1, "trojan")]
-    assert graphs[1].nodes[0].opcode == "mul"
+    assert graphs[1].ops[0] == "mul"
 
 
 def test_load_dataset_error_paths(tmp_path):

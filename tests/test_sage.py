@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from malgraph.analytics import GraphSample, OpVocabulary
@@ -15,6 +15,7 @@ from malgraph.errors import (
     EmptyDataset,
     GraphFormatError,
     MalformedFile,
+    MalgraphError,
     ShapeMismatch,
     VersionMismatch,
     VocabMismatch,
@@ -35,7 +36,9 @@ from malgraph.sage import (
 
 
 def gs(node_ops, edges, label=None):
-    return GraphSample(node_ops=tuple(node_ops), edges=tuple(edges), label=label)
+    return GraphSample(node_ops=tuple(node_ops),
+                       edge_index=np.array(edges, dtype=np.int64).reshape(-1, 2).T,
+                       label=label)
 
 
 SMALL = ArchConfig(vocab_size=5, embed_dim=4, hidden_dim=3, num_sage_layers=2)
@@ -46,7 +49,7 @@ def naive_forward(params, sample) -> float:
     arch = params.arch
     n = sample.num_nodes
     neigh = [set() for _ in range(n)]
-    for s, d in sample.edges:
+    for s, d in sample.edge_index.T.tolist():
         neigh[d].add(s)
         neigh[s].add(d)
 
@@ -110,6 +113,10 @@ def test_arch_validation():
         ArchConfig(vocab_size=0)
     with pytest.raises(ValueError):
         ArchConfig(vocab_size=3, activation="tanh")
+    with pytest.raises(TypeError):
+        ArchConfig(vocab_size=3, num_sage_layers=2.0)
+    with pytest.raises(TypeError):
+        ArchConfig(vocab_size=3, use_embedding="no")
 
 
 @pytest.mark.parametrize("layers", [4, 6, 8, 10])
@@ -401,6 +408,16 @@ def test_model_rejections(tmp_path):
     with pytest.raises(GraphFormatError):
         model_from_json(json.dumps(bad))
 
+    bad = copy.deepcopy(ok)
+    bad["arch"]["num_sage_layers"] = 2.0
+    with pytest.raises(GraphFormatError, match="bad arch"):
+        model_from_json(json.dumps(bad))
+
+    bad = copy.deepcopy(ok)
+    bad["weights"]["out_W"] = [10**400, 0.0, 0.0]
+    with pytest.raises(GraphFormatError, match="out_W"):
+        model_from_json(json.dumps(bad))
+
     p = tmp_path / "m.json"
     p.write_bytes(b"{nope")
     with pytest.raises(MalformedFile):
@@ -439,3 +456,58 @@ def test_model_vocab_size_guard():
     params = init_params(SMALL, 13)
     with pytest.raises(VocabMismatch):
         model_to_json(params, OpVocabulary(("<unk>", "add")))
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+        st.text(max_size=3), inner, max_size=3),
+    max_leaves=8)
+_NEAR_MISSES = st.sampled_from([10**400, -1, 0, True, "relu", "undirected", [], {}])
+
+
+@st.composite
+def _mutated_model(draw):
+    """A valid model document with a few values replaced or deleted.
+
+    Each edit picks a section (top level, arch, vocabulary, weights or one
+    tensor element) and puts there a near miss, such as an int dimension
+    given as an equal float, or any JSON value.
+    """
+    obj = json.loads(model_to_json(init_params(SMALL, 13), VOCAB5))
+    for _ in range(draw(st.integers(1, 3))):
+        where = draw(st.sampled_from(["top", "arch", "vocab", "weights", "tensor"]))
+        target = obj if where == "top" else obj.get("weights" if where == "tensor" else where)
+        if where == "tensor" and isinstance(target, dict) and target:
+            target = target[draw(st.sampled_from(sorted(target)))]
+            while isinstance(target, list) and target and isinstance(target[0], list):
+                target = target[draw(st.integers(0, len(target) - 1))]
+        if not isinstance(target, (dict, list)) or not target:
+            continue
+        key = draw(st.sampled_from(sorted(target) if isinstance(target, dict)
+                                   else range(len(target))))
+        old = target[key]
+        if isinstance(target, dict) and draw(st.booleans()):
+            del target[key]
+            continue
+        same = st.just(float(old)) if type(old) is int and abs(old) < 2**53 else _NEAR_MISSES
+        target[key] = draw(same | _NEAR_MISSES | _JSON_VALUES)
+    data = json.dumps(obj).encode()
+    if draw(st.integers(0, 3)):
+        return data
+    return data[:draw(st.integers(0, len(data)))] + draw(st.binary(max_size=3))
+
+
+@given(_mutated_model())
+@example(b"[" * 100_000 + b"]" * 100_000)
+@example(b'{"version":1,"arch":{},"vocab":{},"weights":{},"x":' + b"9" * 5000 + b"}")
+@settings(max_examples=300, deadline=None)
+def test_mutated_models_raise_only_malgraph_errors(data):
+    try:
+        params, vocab = model_from_json(data)
+    except MalgraphError:
+        return
+    again, names = model_from_json(model_to_json(params, vocab))
+    assert again.arch == params.arch and names == vocab
+    for name, arr in params.tensors().items():
+        assert np.array_equal(arr, again.tensors()[name]), name
