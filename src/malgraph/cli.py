@@ -10,15 +10,18 @@ error (bad flags).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .analytics import encode, export_features_csv, topo_features
 from .corpus import CorpusSpec, generate
 from .depgraph import load_graph, save_graph
-from .errors import IoError, MalgraphError
+from .errors import IoError, MalgraphError, NonFiniteScores
 from .pipeline import (
     TrainConfig,
     eval_per_family,
@@ -26,6 +29,7 @@ from .pipeline import (
     load_dataset,
     load_manifest,
     read_graph,
+    require_finite,
     save_history,
     score_samples,
     train,
@@ -119,10 +123,21 @@ def cmd_train(args) -> int:
     return 0
 
 
+@contextlib.contextmanager
+def _scoring(model):
+    """Silence numpy's overflow warnings; a non-finite score names the model file."""
+    try:
+        with np.errstate(all="ignore"):
+            yield
+    except NonFiniteScores as e:
+        raise MalgraphError(f"model {model} overflows: {e}") from None
+
+
 def cmd_predict(args) -> int:
     params, vocab = load_model(args.model)
     samples = [encode(load_graph(p), vocab) for p in args.graphs]
-    scores = score_samples(params, samples)
+    with _scoring(args.model):
+        scores = require_finite(score_samples(params, samples))
     for path, score in zip(args.graphs, scores):
         verdict = "malicious" if score >= 0.5 else "benign"
         print(f"{path}\t{score:.6f}\t{verdict}")
@@ -132,7 +147,8 @@ def cmd_predict(args) -> int:
 def cmd_eval(args) -> int:
     params, vocab = load_model(args.model)
     manifest = load_manifest(args.manifest)
-    report = eval_per_family(params, vocab, manifest)
+    with _scoring(args.model):
+        report = eval_per_family(params, vocab, manifest)
     if report.auroc is None:
         print("warning: manifest is single-class, auroc omitted", file=sys.stderr)
     doc = {

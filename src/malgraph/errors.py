@@ -49,6 +49,10 @@ class SingleClass(MalgraphError):
     """AUROC is undefined when only one label class is present."""
 
 
+class NonFiniteScores(MalgraphError):
+    """A model produced a score or pooled value that is not a finite number."""
+
+
 class VersionMismatch(MalgraphError):
     """A persisted file declares an unsupported format version."""
 

@@ -17,9 +17,10 @@ Supported instruction forms, after comment stripping::
     br label %L  |  br i1 %C, label %L1, label %L2
     ret <ty> %V  |  ret void
 
-``define ... @name(...) {``, ``label:`` lines and ``}`` delimit function and
-block attribution.  Preamble/metadata lines (``target``, ``declare``, ``@``
-globals, ``!`` metadata, ``attributes``, ``source_filename``) are skipped.
+``define ... @name(...) {`` and ``}`` delimit a function, whose registers form
+their own scope.  Block labels and preamble/metadata lines (``target``,
+``declare``, ``@`` globals, ``!`` metadata, ``attributes``,
+``source_filename``) are skipped.
 
 Type tokens and registers are shared immutable values: each type token maps
 to one ``ValueType`` through a bounded cache, and a parse hands out one
@@ -36,9 +37,6 @@ import re
 from dataclasses import dataclass, field
 
 from .errors import EmptyUnit, MalformedLine
-
-STATIC_LL = "static_ll"
-DYNAMIC_TRACE = "dynamic_trace"
 
 # Opcodes parsed with the shared "%D = <op> <ty> %S1(, %S2)*" production.
 BINARY_OPCODES = frozenset({
@@ -181,8 +179,6 @@ class Instruction:
     sources: tuple[Register, ...]
     result_type: ValueType
     mem_addr: int | None = None
-    function: str = ""
-    block: str = ""
 
 
 @dataclass(frozen=True)
@@ -196,7 +192,6 @@ class TraceUnit:
 
     origin: str
     instructions: tuple[Instruction, ...]
-    format: str
     args: frozenset[Register] = field(default_factory=frozenset)
     externals: frozenset[Register] = field(default_factory=frozenset)
 
@@ -404,11 +399,10 @@ def _fallback(opcode: str, dest_name: str | None, rest: str, regs: _Registers) -
     return opcode.lower(), dest_name, sources, OPAQUE
 
 
-def _parse_unit(text: str, origin: str, fmt: str) -> TraceUnit:
+def _parse_unit(text: str, origin: str) -> TraceUnit:
     instructions: list[Instruction] = []
     args: set[Register] = set()
     function = ""
-    block = ""
     scopes = {function: _Registers(function)}
     regs = scopes[function]
 
@@ -426,24 +420,15 @@ def _parse_unit(text: str, origin: str, fmt: str) -> TraceUnit:
 
         if line == "}":
             function = ""
-            block = ""
             regs = scopes.setdefault(function, _Registers(function))
             continue
         m = _DEFINE_RE.match(line)
         if m:
             function = m.group(1)
-            block = "entry"
             regs = scopes.setdefault(function, _Registers(function))
             args.update(regs[t] for t in _REG_TOKEN.findall(m.group(2)))
             continue
-        m = _LABEL_RE.match(line)
-        if m:
-            # block labels are only meaningful inside a function; stray labels
-            # in flat traces are structural noise
-            if function:
-                block = m.group(1)
-            continue
-        if line.startswith(_SKIP_PREFIXES):
+        if _LABEL_RE.match(line) or line.startswith(_SKIP_PREFIXES):
             continue
 
         opcode, dest_name, sources, result = _parse_instruction_line(line, line_no, regs)
@@ -457,8 +442,6 @@ def _parse_unit(text: str, origin: str, fmt: str) -> TraceUnit:
             sources=sources,
             result_type=result,
             mem_addr=mem_addr,
-            function=function,
-            block=block,
         ))
 
     if not instructions:
@@ -476,7 +459,6 @@ def _parse_unit(text: str, origin: str, fmt: str) -> TraceUnit:
     return TraceUnit(
         origin=str(origin),
         instructions=tuple(instructions),
-        format=fmt,
         args=frozenset(args),
         externals=frozenset(externals),
     )
@@ -484,7 +466,7 @@ def _parse_unit(text: str, origin: str, fmt: str) -> TraceUnit:
 
 def parse_ll(text: str, origin) -> TraceUnit:
     """Parse a static .ll-style file into a TraceUnit."""
-    return _parse_unit(text, str(origin), STATIC_LL)
+    return _parse_unit(text, str(origin))
 
 
 def parse_trace(text: str, origin) -> TraceUnit:
@@ -494,4 +476,4 @@ def parse_trace(text: str, origin) -> TraceUnit:
     instruction and later definitions shadow earlier ones when dependencies are
     resolved downstream.
     """
-    return _parse_unit(text, str(origin), DYNAMIC_TRACE)
+    return _parse_unit(text, str(origin))

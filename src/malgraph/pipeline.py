@@ -31,6 +31,7 @@ from .errors import (
     MalformedFile,
     MalformedLine,
     MalgraphError,
+    NonFiniteScores,
     SingleClass,
     TooFewSamples,
 )
@@ -51,7 +52,7 @@ __all__ = [
     "Manifest", "ManifestEntry", "TrainConfig", "EpochStats", "TrainResult",
     "EvalReport", "load_manifest", "save_manifest", "read_graph", "load_dataset",
     "split", "train", "auroc", "metrics", "eval_per_family", "eval_samples",
-    "score_samples",
+    "score_samples", "require_finite",
     "save_history", "save_model", "load_model", "worker_count",
     "HISTORY_CSV_HEADER",
 ]
@@ -289,10 +290,24 @@ class EvalReport:
 
 
 def score_samples(params: ModelParams, samples, batch_size: int = 64) -> np.ndarray:
-    """Scores for a sample list, chunked to bound the disjoint-union size."""
-    chunks = [forward(params, samples[i:i + batch_size])[0]
-              for i in range(0, len(samples), batch_size)]
+    """Scores for a sample list, chunked to bound the disjoint-union size.
+
+    Keeps no activations.  A graph whose pooled vector is not finite scores
+    NaN: the model overflowed on it, and a saturated 0 or 1 would hide that.
+    """
+    chunks = []
+    for lo in range(0, len(samples), batch_size):
+        scores, cache = forward(params, samples[lo:lo + batch_size], cache=False)
+        chunks.append(np.where(np.isfinite(cache.pooled).all(axis=1), scores, np.nan))
     return np.concatenate(chunks) if chunks else np.empty(0)
+
+
+def require_finite(scores) -> np.ndarray:
+    """`scores`, or NonFiniteScores if any of them is not finite."""
+    bad = np.count_nonzero(~np.isfinite(scores))
+    if bad:
+        raise NonFiniteScores(f"{bad} of {len(scores)} scores are not finite")
+    return scores
 
 
 def _labels_of(samples) -> np.ndarray:
@@ -381,11 +396,14 @@ def eval_per_family(params: ModelParams, vocab: OpVocabulary, manifest: Manifest
 
 def eval_samples(params: ModelParams, samples, manifest: Manifest, *,
                  batch_size: int = 64) -> EvalReport:
-    """eval_per_family of samples already encoded from `manifest`, in its order."""
+    """eval_per_family of samples already encoded from `manifest`, in its order.
+
+    Raises NonFiniteScores rather than report metrics of non-finite scores.
+    """
     if not manifest.entries:
         raise TooFewSamples("evaluation needs at least one entry")
     labels = _labels_of(samples)
-    scores = score_samples(params, samples, batch_size)
+    scores = require_finite(score_samples(params, samples, batch_size))
     core = metrics(scores, labels)
     try:
         area = auroc(scores, labels)

@@ -10,13 +10,15 @@ All math is float64 and hand-differentiated; gradients are validated against
 central finite differences in the test suite.  N(v) is v's full undirected
 neighbour set, so a forward pass is deterministic; each sample carries its
 mean matrix (`GraphSample.agg`), and a batch's matrix is their block diagonal.
+For training, forward keeps each layer's input block [h ; mean h], which
+backward reads; for scoring (cache=False) it keeps no layer's activations.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -113,15 +115,21 @@ def init_params(arch: ArchConfig, seed: int) -> ModelParams:
 
 
 def _act(z: np.ndarray, kind: str) -> np.ndarray:
+    """act(z), written over z."""
     if kind == "relu":
-        return np.maximum(z, 0.0)
-    return np.maximum(z, LEAKY_SLOPE * z)
+        return np.maximum(z, 0.0, out=z)
+    return np.maximum(z, LEAKY_SLOPE * z, out=z)
 
 
-def _act_grad(z: np.ndarray, kind: str) -> np.ndarray:
+def _act_backward(h: np.ndarray, dh: np.ndarray, kind: str) -> np.ndarray:
+    """d loss / d z from d loss / d h, where h = act(z).
+
+    h > 0 exactly where z > 0 (NaN included), so the output stands in for
+    the pre-activation.  ReLU multiplies by the mask to keep dh's sign of zero.
+    """
     if kind == "relu":
-        return (z > 0).astype(float)
-    return np.where(z > 0, 1.0, LEAKY_SLOPE)
+        return dh * (h > 0)
+    return np.where(h > 0, dh, LEAKY_SLOPE * dh)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -135,21 +143,30 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 @dataclass
 class ForwardCache:
+    """What one forward pass leaves behind.
+
+    With the cache on, xs[k] is the block [H_k, agg @ H_k] that layer k
+    multiplies by its weights, and hs holds H_0 .. H_L: views of the blocks'
+    left halves, then the last layer's output.  With the cache off, xs is
+    empty and hs holds only H_L, which pooling reads anyway.
+    """
+
     params: ModelParams
     scores: np.ndarray
-    idx: np.ndarray | None          # embedding rows, when use_embedding
-    z_embed: np.ndarray | None
-    hs: list = field(default_factory=list)    # H_0 .. H_L
-    ms: list = field(default_factory=list)    # aggregated means per layer
-    zs: list = field(default_factory=list)    # pre-activations per layer
-    agg: sp.csr_matrix | None = None
-    pooled: np.ndarray | None = None
-    starts: np.ndarray | None = None
-    counts: np.ndarray | None = None
+    pooled: np.ndarray
+    counts: np.ndarray              # nodes per graph
+    idx: np.ndarray                 # node op index per batch row
+    agg: sp.csr_matrix
+    hs: list
+    xs: list
 
 
-def forward(params: ModelParams, batch):
-    """Score a batch of GraphSamples; returns (scores, cache)."""
+def forward(params: ModelParams, batch, *, cache: bool = True):
+    """Score a batch of GraphSamples; returns (scores, ForwardCache).
+
+    `backward` needs cache=True.  With cache=False no layer's activations
+    outlive the next layer, so scoring holds a few row blocks at a time.
+    """
     batch = list(batch)
     if not batch:
         raise EmptyDataset("forward needs at least one graph")
@@ -166,33 +183,24 @@ def forward(params: ModelParams, batch):
 
     kind = arch.activation
     if arch.use_embedding:
-        z_embed = params.embed_W[idx] + params.embed_b
-        h = _act(z_embed, kind)
-        cache_idx = idx
+        h = _act(params.embed_W[idx] + params.embed_b, kind)
     else:
-        z_embed = None
-        cache_idx = None
         h = one_hot(idx, arch.vocab_size)
 
     agg = sp.block_diag([s.agg for s in batch], format="csr")
-    cache = ForwardCache(params=params, scores=None, idx=cache_idx,
-                         z_embed=z_embed, agg=agg)
-    cache.hs.append(h)
-    for k in range(arch.num_sage_layers):
-        m = agg @ h
-        z = np.concatenate([h, m], axis=1) @ params.sage_W[k] + params.sage_b[k]
-        h = _act(z, kind)
-        cache.ms.append(m)
-        cache.zs.append(z)
-        cache.hs.append(h)
+    xs = []
+    for w, b in zip(params.sage_W, params.sage_b):
+        x = np.concatenate([h, agg @ h], axis=1)
+        if cache:
+            xs.append(x)
+        del h  # x holds a copy
+        h = _act(x @ w + b, kind)
+        del x
 
     pooled = np.add.reduceat(h, offsets, axis=0) / counts[:, None]
     scores = _sigmoid(pooled @ params.out_W + params.out_b)
-    cache.pooled = pooled
-    cache.starts = offsets
-    cache.counts = counts
-    cache.scores = scores
-    return scores, cache
+    hs = [x[:, :x.shape[1] // 2] for x in xs] + [h]
+    return scores, ForwardCache(params, scores, pooled, counts, idx, agg, hs, xs)
 
 
 CLAMP_LO = 1e-12
@@ -209,6 +217,8 @@ def backward(params: ModelParams, cache: ForwardCache, labels):
     """Mean binary cross-entropy and its exact gradients; returns (loss, grads)."""
     if cache.params is not params:
         raise CacheMismatch("cache was produced by different parameters")
+    if not cache.xs:
+        raise CacheMismatch("forward ran with cache=False")
     labels = np.asarray(labels, dtype=float)
     if labels.shape != cache.scores.shape:
         raise CacheMismatch(
@@ -228,17 +238,18 @@ def backward(params: ModelParams, cache: ForwardCache, labels):
     dh = np.repeat(d_pooled / cache.counts[:, None], cache.counts, axis=0)
 
     kind = arch.activation
+    agg_t = cache.agg.T.tocsr()
     for k in reversed(range(arch.num_sage_layers)):
-        dz = dh * _act_grad(cache.zs[k], kind)
-        concat = np.concatenate([cache.hs[k], cache.ms[k]], axis=1)
-        grads[f"sage_W.{k}"] = concat.T @ dz
+        x = cache.xs[k]
+        dz = _act_backward(cache.hs[k + 1], dh, kind)
+        grads[f"sage_W.{k}"] = x.T @ dz
         grads[f"sage_b.{k}"] = dz.sum(axis=0)
-        d_concat = dz @ params.sage_W[k].T
-        d_in = cache.hs[k].shape[1]
-        dh = d_concat[:, :d_in] + cache.agg.T @ d_concat[:, d_in:]
+        d_x = dz @ params.sage_W[k].T
+        d_in = x.shape[1] // 2
+        dh = d_x[:, :d_in] + agg_t @ d_x[:, d_in:]
 
     if arch.use_embedding:
-        dz0 = dh * _act_grad(cache.z_embed, kind)
+        dz0 = _act_backward(cache.hs[0], dh, kind)
         grads["embed_b"] = dz0.sum(axis=0)
         dw = np.zeros_like(params.embed_W)
         np.add.at(dw, cache.idx, dz0)

@@ -155,8 +155,9 @@ def test_gradients_match_finite_differences():
 
     # every pre-activation must sit clear of the piecewise-linear kink, or
     # finite differences would straddle two slopes and measure neither
-    z_all = list(cache.zs) + [cache.z_embed]
-    assert min(float(np.min(np.abs(z))) for z in z_all if z is not None) > 1e-3
+    z_all = [params.embed_W[cache.idx] + params.embed_b]
+    z_all += [x @ w + b for x, w, b in zip(cache.xs, params.sage_W, params.sage_b)]
+    assert min(float(np.min(np.abs(z))) for z in z_all) > 1e-3
 
     checked = 0
     for name, tensor in params.tensors().items():

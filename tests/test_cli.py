@@ -1,5 +1,6 @@
 import hashlib
 import json
+import warnings
 from pathlib import Path
 
 import pytest
@@ -440,6 +441,42 @@ def test_deeply_nested_model_names_file(trained, tmp_path, capsys, command):
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "deep.json" in err and "not valid JSON" in err
+
+
+def _huge_embedding(model):
+    """Finite weights that overflow: every embedding entry is 1e308."""
+    w = model["weights"]
+    w["embed_W"] = [[1e308] * len(row) for row in w["embed_W"]]
+
+
+def _saturating(model):
+    """Pooled values overflow to +inf while the score saturates at a finite 1.0."""
+    _huge_embedding(model)
+    w = model["weights"]
+    w["sage_W"] = [[[1.0] * len(row) for row in layer] for layer in w["sage_W"]]
+    w["out_W"] = [1.0] * len(w["out_W"])
+
+
+@pytest.mark.parametrize("corrupt", [_huge_embedding, _saturating],
+                         ids=["nan_score", "inf_pooled"])
+@pytest.mark.parametrize("command", ["predict", "eval"])
+def test_non_finite_scores_exit_1_naming_the_model(trained, tmp_path, capsys,
+                                                    command, corrupt):
+    model = json.loads((trained / "model.json").read_text())
+    corrupt(model)
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(model))
+    graph = tmp_path / "g.json"
+    graph.write_text(graph_doc(["add", "mul"], [(0, 1)]))
+    inputs = [graph] if command == "predict" else ["--manifest",
+                                                   trained / "c" / "manifest.jsonl"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run([command, "--model", path, *inputs], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "huge.json" in err and "not finite" in err
+    assert caught == []  # no numpy overflow warnings
 
 
 # ---------------------------------------------------------------- eval
