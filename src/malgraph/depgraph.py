@@ -104,18 +104,21 @@ def build_graph(unit: TraceUnit, *, control_edges: bool = False,
 # --- interchange format -----------------------------------------------------
 
 def to_json(g: DepGraph) -> bytes:
-    """Canonical serialization; equal graphs give identical bytes."""
-    obj = {
-        "version": 1,
-        "origin": g.origin,
-        "label": g.label,
-        "family": g.family,
-        "nodes": [{"id": i, "op": op, "type": format_type(t)}
-                  for i, (op, t) in enumerate(zip(g.ops, g.types))],
-        "edges": [{"src": s, "dst": d, "w": w, "kind": EDGE_KINDS[k]} for s, d, w, k
-                  in zip(*g.edge_index.tolist(), g.edge_weight, g.edge_kind.tolist())],
-    }
-    return json.dumps(obj, separators=(",", ":")).encode("utf-8")
+    """Canonical serialization; equal graphs give identical bytes.
+
+    The text is json.dumps of the document with separators (",", ":"),
+    written directly: ops and the head fields go through json.dumps (each
+    distinct op once), while type tokens, kinds and ints need no escaping.
+    """
+    op_text = {op: json.dumps(op) for op in set(g.ops)}
+    nodes = ",".join(f'{{"id":{i},"op":{op_text[op]},"type":"{format_type(t)}"}}'
+                     for i, (op, t) in enumerate(zip(g.ops, g.types)))
+    edges = ",".join(f'{{"src":{s},"dst":{d},"w":{w},"kind":"{EDGE_KINDS[k]}"}}'
+                     for s, d, w, k in zip(*g.edge_index.tolist(), g.edge_weight,
+                                           g.edge_kind.tolist()))
+    return (f'{{"version":1,"origin":{json.dumps(g.origin)},"label":{json.dumps(g.label)},'
+            f'"family":{json.dumps(g.family)},"nodes":[{nodes}],"edges":[{edges}]}}'
+            ).encode("utf-8")
 
 
 def _require(cond: bool, detail: str):

@@ -399,7 +399,13 @@ def _fallback(opcode: str, dest_name: str | None, rest: str, regs: _Registers) -
     return opcode.lower(), dest_name, sources, OPAQUE
 
 
-def _parse_unit(text: str, origin: str) -> TraceUnit:
+def parse_trace(text: str, origin) -> TraceUnit:
+    """Parse a static ``.ll``-style file or a flat dynamic trace into a TraceUnit.
+
+    Redefinition of a register name is legal; each line stays a distinct
+    instruction and later definitions shadow earlier ones when dependencies are
+    resolved downstream.
+    """
     instructions: list[Instruction] = []
     args: set[Register] = set()
     function = ""
@@ -462,18 +468,3 @@ def _parse_unit(text: str, origin: str) -> TraceUnit:
         args=frozenset(args),
         externals=frozenset(externals),
     )
-
-
-def parse_ll(text: str, origin) -> TraceUnit:
-    """Parse a static .ll-style file into a TraceUnit."""
-    return _parse_unit(text, str(origin))
-
-
-def parse_trace(text: str, origin) -> TraceUnit:
-    """Parse a flat dynamic-trace file (one executed instruction per line).
-
-    Redefinition of a register name is legal here; each line stays a distinct
-    instruction and later definitions shadow earlier ones when dependencies are
-    resolved downstream.
-    """
-    return _parse_unit(text, str(origin))

@@ -35,7 +35,7 @@ from .errors import (
     SingleClass,
     TooFewSamples,
 )
-from .ir import parse_ll, parse_trace
+from .ir import parse_trace
 from .sage import (
     AdamState,
     ArchConfig,
@@ -154,9 +154,10 @@ def read_graph(path, *, control_edges: bool = False,
                memory_edges: bool = False) -> DepGraph:
     """The dependency graph of one file, by suffix (compared in lower case).
 
-    ``.json`` is a graph document (the edge flags do not apply), ``.ll`` is
-    static IR, and anything else is a dynamic trace.  Parse errors become
-    ``MalformedFile`` and read errors ``IoError``; both name the path.
+    ``.json`` is a graph document (the edge flags do not apply); anything
+    else, static ``.ll`` IR or a dynamic trace, goes through ``parse_trace``.
+    Parse errors become ``MalformedFile`` and read errors ``IoError``; both
+    name the path.
     """
     path = Path(path)
     suffix = path.suffix.lower()
@@ -169,7 +170,7 @@ def read_graph(path, *, control_edges: bool = False,
     except UnicodeDecodeError as e:
         raise MalformedFile(str(path), f"not UTF-8 text: {e}") from None
     try:
-        unit = parse_ll(text, path) if suffix == ".ll" else parse_trace(text, path)
+        unit = parse_trace(text, path)
     except (MalformedLine, EmptyUnit) as e:
         raise MalformedFile(str(path), str(e)) from None
     return build_graph(unit, control_edges=control_edges, memory_edges=memory_edges)
@@ -364,8 +365,9 @@ def train(manifest: Manifest, cfg: TrainConfig, *, vocab_scope: str = "train",
             for lo in range(0, n, cfg.batch_size):
                 batch_idx = order[lo:lo + cfg.batch_size]
                 batch = [train_samples[i] for i in batch_idx]
-                _, cache = forward(params, batch)
-                loss, grads = backward(params, cache, train_labels[batch_idx])
+                # the cache dies with backward's return, so no step holds another's
+                loss, grads = backward(params, forward(params, batch)[1],
+                                       train_labels[batch_idx])
                 step += 1
                 bad = [] if math.isfinite(loss) else ["loss"]
                 bad += [name for name, g in grads.items() if not np.all(np.isfinite(g))]
@@ -373,6 +375,7 @@ def train(manifest: Manifest, cfg: TrainConfig, *, vocab_scope: str = "train",
                     raise MalgraphError(f"training diverged at epoch {epoch}, step {step}: "
                                         f"non-finite {', '.join(bad)}")
                 adam_step(params, grads, state, step, lr=cfg.lr)
+                del grads
                 loss_sum += loss * len(batch)
             scores = score_samples(params, test_samples, cfg.batch_size)
             history.append(EpochStats(

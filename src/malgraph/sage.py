@@ -10,8 +10,9 @@ All math is float64 and hand-differentiated; gradients are validated against
 central finite differences in the test suite.  N(v) is v's full undirected
 neighbour set, so a forward pass is deterministic; each sample carries its
 mean matrix (`GraphSample.agg`), and a batch's matrix is their block diagonal.
-For training, forward keeps each layer's input block [h ; mean h], which
-backward reads; for scoring (cache=False) it keeps no layer's activations.
+For training, forward keeps one row block per layer, its output h, and
+backward recomputes the cheap sparse mean (agg @ h) rather than keep it; for
+scoring (cache=False) it keeps no layer's activations.
 """
 
 from __future__ import annotations
@@ -145,10 +146,9 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 class ForwardCache:
     """What one forward pass leaves behind.
 
-    With the cache on, xs[k] is the block [H_k, agg @ H_k] that layer k
-    multiplies by its weights, and hs holds H_0 .. H_L: views of the blocks'
-    left halves, then the last layer's output.  With the cache off, xs is
-    empty and hs holds only H_L, which pooling reads anyway.
+    With the cache on, hs holds H_0 .. H_L: the embedded (or one-hot) input
+    and each layer's output, one row block per layer.  With the cache off,
+    hs holds only H_L, which pooling reads anyway.
     """
 
     params: ModelParams
@@ -158,7 +158,6 @@ class ForwardCache:
     idx: np.ndarray                 # node op index per batch row
     agg: sp.csr_matrix
     hs: list
-    xs: list
 
 
 def forward(params: ModelParams, batch, *, cache: bool = True):
@@ -188,19 +187,18 @@ def forward(params: ModelParams, batch, *, cache: bool = True):
         h = one_hot(idx, arch.vocab_size)
 
     agg = sp.block_diag([s.agg for s in batch], format="csr")
-    xs = []
+    hs = []
     for w, b in zip(params.sage_W, params.sage_b):
-        x = np.concatenate([h, agg @ h], axis=1)
         if cache:
-            xs.append(x)
+            hs.append(h)
+        x = np.concatenate([h, agg @ h], axis=1)
         del h  # x holds a copy
         h = _act(x @ w + b, kind)
         del x
 
     pooled = np.add.reduceat(h, offsets, axis=0) / counts[:, None]
     scores = _sigmoid(pooled @ params.out_W + params.out_b)
-    hs = [x[:, :x.shape[1] // 2] for x in xs] + [h]
-    return scores, ForwardCache(params, scores, pooled, counts, idx, agg, hs, xs)
+    return scores, ForwardCache(params, scores, pooled, counts, idx, agg, hs + [h])
 
 
 CLAMP_LO = 1e-12
@@ -217,7 +215,7 @@ def backward(params: ModelParams, cache: ForwardCache, labels):
     """Mean binary cross-entropy and its exact gradients; returns (loss, grads)."""
     if cache.params is not params:
         raise CacheMismatch("cache was produced by different parameters")
-    if not cache.xs:
+    if len(cache.hs) == 1:
         raise CacheMismatch("forward ran with cache=False")
     labels = np.asarray(labels, dtype=float)
     if labels.shape != cache.scores.shape:
@@ -237,23 +235,29 @@ def backward(params: ModelParams, cache: ForwardCache, labels):
     d_pooled = np.outer(dz_out, params.out_W)
     dh = np.repeat(d_pooled / cache.counts[:, None], cache.counts, axis=0)
 
+    # each layer's weights split into the halves that multiply h and agg @ h
     kind = arch.activation
-    agg_t = cache.agg.T.tocsr()
+    agg, agg_t = cache.agg, cache.agg.T.tocsr()
     for k in reversed(range(arch.num_sage_layers)):
-        x = cache.xs[k]
+        h, w = cache.hs[k], params.sage_W[k]
+        d_in = h.shape[1]
         dz = _act_backward(cache.hs[k + 1], dh, kind)
-        grads[f"sage_W.{k}"] = x.T @ dz
+        dw = np.empty_like(w)
+        np.matmul(h.T, dz, out=dw[:d_in])
+        np.matmul((agg @ h).T, dz, out=dw[d_in:])
+        grads[f"sage_W.{k}"] = dw
         grads[f"sage_b.{k}"] = dz.sum(axis=0)
-        d_x = dz @ params.sage_W[k].T
-        d_in = x.shape[1] // 2
-        dh = d_x[:, :d_in] + agg_t @ d_x[:, d_in:]
+        dh = dz @ w[:d_in].T
+        dh += agg_t @ (dz @ w[d_in:].T)
 
     if arch.use_embedding:
         dz0 = _act_backward(cache.hs[0], dh, kind)
         grads["embed_b"] = dz0.sum(axis=0)
-        dw = np.zeros_like(params.embed_W)
-        np.add.at(dw, cache.idx, dz0)
-        grads["embed_W"] = dw
+        # row r of dz0 adds to row idx[r], in row order: a one-hot (rows × vocab) product
+        rows = len(cache.idx)
+        one_hot_rows = sp.csr_matrix((np.ones(rows), cache.idx, np.arange(rows + 1)),
+                                     shape=(rows, arch.vocab_size))
+        grads["embed_W"] = one_hot_rows.T @ dz0
 
     grads["out_b"] = np.asarray(grads["out_b"])
     return loss, grads

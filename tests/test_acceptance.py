@@ -156,7 +156,9 @@ def test_gradients_match_finite_differences():
     # every pre-activation must sit clear of the piecewise-linear kink, or
     # finite differences would straddle two slopes and measure neither
     z_all = [params.embed_W[cache.idx] + params.embed_b]
-    z_all += [x @ w + b for x, w, b in zip(cache.xs, params.sage_W, params.sage_b)]
+    xs = [np.concatenate([h, cache.agg @ h], axis=1) for h in cache.hs[:-1]]
+    assert len(xs) == arch.num_sage_layers
+    z_all += [x @ w + b for x, w, b in zip(xs, params.sage_W, params.sage_b)]
     assert min(float(np.min(np.abs(z))) for z in z_all) > 1e-3
 
     checked = 0

@@ -17,7 +17,6 @@ from malgraph.ir import (
     VOID,
     Register,
     ValueType,
-    parse_ll,
     parse_trace,
     parse_type_token,
     sizeof_type,
@@ -95,10 +94,10 @@ def test_type_tokens_and_registers_are_shared():
     assert add.result_type is mul.result_type is sub.result_type
     assert add.sources[0] is add.sources[1] is mul.sources[1]
     assert add.dest is mul.sources[0] is sub.dest is sub.sources[1]
-    ll = parse_ll("%t = add i32 %x, %x\n"
-                  "define i32 @f(i32 %x) {\n  %a = add i32 %x, %x\n  ret i32 %a\n}\n"
-                  "define i32 @g(i32 %x) {\n  ret i32 %x\n}\n"
-                  "%u = add i32 %x, %t\n", "t")
+    ll = parse_trace("%t = add i32 %x, %x\n"
+                     "define i32 @f(i32 %x) {\n  %a = add i32 %x, %x\n  ret i32 %a\n}\n"
+                     "define i32 @g(i32 %x) {\n  ret i32 %x\n}\n"
+                     "%u = add i32 %x, %t\n", "t")
     t, f_add, f_ret, g_ret, u = ll.instructions
     assert f_add.sources[0] is f_add.sources[1] and f_add.dest is f_ret.sources[0]
     assert g_ret.sources[0] == Register("x", "g") != f_add.sources[0]
@@ -116,7 +115,7 @@ def test_empty_input_rejected():
     with pytest.raises(EmptyUnit):
         parse_trace("", "t")
     with pytest.raises(EmptyUnit):
-        parse_ll("; only a comment\n\n", "t")
+        parse_trace("; only a comment\n\n", "t")
 
 
 GOLDEN = """\
@@ -138,7 +137,7 @@ done:
 
 
 def test_golden_structure():
-    unit = parse_ll(GOLDEN, "golden.ll")
+    unit = parse_trace(GOLDEN, "golden.ll")
     ops = [i.opcode for i in unit.instructions]
     assert ops == ["alloca", "store", "load", "add", "icmp", "br",
                    "getelementptr", "call", "br", "ret"]
@@ -191,7 +190,7 @@ declare i32 @puts(i8*)
 !0 = !{i32 1}
 %x = add i32 %a, %b
 """
-    unit = parse_ll(text, "t")
+    unit = parse_trace(text, "t")
     assert len(unit.instructions) == 1
     assert unit.instructions[0].opcode == "add"
 
@@ -311,13 +310,12 @@ _FRAGMENTS = ["%a", "%b", " = ", ", ", "add", "icmp", "slt", "load", "store",
               "\n", "\t", "\r"]
 
 
-@given(st.lists(st.one_of(st.sampled_from(_FRAGMENTS), st.text(max_size=6)), max_size=40),
-       st.booleans())
+@given(st.lists(st.one_of(st.sampled_from(_FRAGMENTS), st.text(max_size=6)), max_size=40))
 @settings(max_examples=300, deadline=None)
-def test_arbitrary_text_raises_only_malgraph_errors(parts, static):
+def test_arbitrary_text_raises_only_malgraph_errors(parts):
     text = "".join(parts)
     try:
-        unit = (parse_ll if static else parse_trace)(text, "fuzz")
+        unit = parse_trace(text, "fuzz")
     except MalgraphError:
         return
     assert [i.index for i in unit.instructions] == list(range(len(unit.instructions)))

@@ -2,12 +2,15 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from malgraph import pipeline
+from malgraph.corpus import CorpusSpec, generate
 from malgraph.depgraph import build_graph, save_graph
 from malgraph.errors import (
     IoError,
@@ -350,6 +353,40 @@ def test_train_single_full_batch_is_one_step(tmp_path):
     assert result.history[0].train_loss == pytest.approx(loss, abs=1e-12)
     for name, arr in result.params.tensors().items():
         assert np.allclose(arr, params.tensors()[name], atol=1e-12), name
+
+
+def test_train_enters_each_forward_without_an_earlier_steps_activations(
+        tmp_path, monkeypatch):
+    """Live traced memory at each training forward stays within one row block
+    (the smallest batch's rows x hidden float64s) of the first forward's.
+
+    Samples build their mean matrices on first use, a few percent of a block.
+    Holding the previous step's cache into the next forward, as the loop once
+    did, left about 13 blocks alive.
+    """
+    manifest = generate(CorpusSpec(benign_count=8, malicious_count=8, seed=5), tmp_path)
+    # 14 train graphs: two batches of 7 per epoch
+    cfg = TrainConfig(arch=ArchConfig(vocab_size=1), epochs=3, seed=5, batch_size=7)
+    entries = []  # (live traced bytes, rows) at each training forward's entry
+    real_forward = pipeline.forward
+
+    def traced_forward(params, batch, *, cache=True):
+        if cache:
+            entries.append((tracemalloc.get_traced_memory()[0],
+                            sum(s.num_nodes for s in batch)))
+        return real_forward(params, batch, cache=cache)
+
+    monkeypatch.setattr(pipeline, "forward", traced_forward)
+    tracemalloc.start()
+    try:
+        train(manifest, cfg)
+    finally:
+        tracemalloc.stop()
+    assert len(entries) == 6
+    block = min(rows for _, rows in entries) * cfg.arch.hidden_dim * 8
+    first = entries[0][0]
+    for step, (live, _) in enumerate(entries[1:], start=2):
+        assert live - first < block, f"step {step}: {(live - first) / block:.2f} blocks"
 
 
 def test_train_rejects_single_class_test_split(tmp_path):
