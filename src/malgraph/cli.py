@@ -21,7 +21,7 @@ import numpy as np
 from .analytics import encode, export_features_csv, topo_features
 from .corpus import CorpusSpec, generate
 from .depgraph import load_graph, save_graph
-from .errors import IoError, MalgraphError, NonFiniteScores
+from .errors import MalgraphError, NonFiniteScores, write_file
 from .pipeline import (
     TrainConfig,
     eval_per_family,
@@ -191,10 +191,7 @@ def cmd_features(args) -> int:
     feats = [topo_features(g) for g in graphs]
     text = export_features_csv(zip(origins, labels, feats))
     if args.csv:
-        try:
-            Path(args.csv).write_text(text, encoding="utf-8")
-        except OSError as e:
-            raise IoError(f"cannot write {args.csv}: {e}") from None
+        write_file(args.csv, text.encode("utf-8"))
         print(f"features -> {args.csv}")
     else:
         print(text, end="")

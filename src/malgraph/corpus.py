@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import IoError
+from .errors import IoError, write_file
 from .pipeline import Manifest, ManifestEntry, save_manifest
 
 BENIGN_FAMILIES = {"compute": 1.0, "io": 1.0, "container": 1.0}
@@ -230,10 +230,7 @@ def generate(spec: CorpusSpec, out_dir) -> Manifest:
         benign = index < spec.benign_count
         family, text = _make_file(spec, index, benign)
         rel = f"traces/{family}_{index}.trace"
-        try:
-            (out_dir / rel).write_text(text, encoding="utf-8")
-        except OSError as e:
-            raise IoError(f"cannot write {out_dir / rel}: {e}") from None
+        write_file(out_dir / rel, text.encode("utf-8"))
         entries.append(ManifestEntry(rel, 0 if benign else 1,
                                      "benign" if benign else family))
 

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import EmptyGraph, GraphFormatError, IoError, MalformedFile, VersionMismatch
+from .errors import EmptyGraph, GraphFormatError, VersionMismatch, read_file, write_file
 from .ir import TraceUnit, ValueType, format_type, parse_type_token, sizeof_type
 
 # In name order, so sorting by kind index sorts by kind name.
@@ -185,20 +185,8 @@ def from_json(data) -> DepGraph:
 
 
 def save_graph(g: DepGraph, path):
-    path = Path(path)
-    try:
-        path.write_bytes(to_json(g))
-    except OSError as e:
-        raise IoError(f"cannot write {path}: {e}") from None
+    write_file(Path(path), to_json(g))
 
 
 def load_graph(path) -> DepGraph:
-    path = Path(path)
-    try:
-        data = path.read_bytes()
-    except OSError as e:
-        raise IoError(f"cannot read {path}: {e}") from None
-    try:
-        return from_json(data)
-    except (GraphFormatError, VersionMismatch, EmptyGraph) as e:
-        raise MalformedFile(str(path), str(e)) from None
+    return read_file(Path(path), from_json)

@@ -1,4 +1,11 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one file boundary.
+
+Every file the package reads or writes goes through `read_file` and
+`write_file`, so each read, write or parse failure ends in one
+`MalgraphError` whose message names the path once.
+"""
+
+from pathlib import Path
 
 
 class MalgraphError(Exception):
@@ -58,7 +65,7 @@ class VersionMismatch(MalgraphError):
 
 
 class GraphFormatError(MalgraphError):
-    """A graph JSON document is structurally invalid."""
+    """A JSON document (graph, model or manifest) is structurally invalid."""
 
 
 class MalformedFile(MalgraphError):
@@ -73,4 +80,37 @@ class MalformedFile(MalgraphError):
 
 
 class IoError(MalgraphError):
-    """Filesystem failure while emitting generated output."""
+    """Filesystem failure while reading or writing a file; message names the path."""
+
+
+def utf8_text(data: bytes) -> str:
+    """`data` decoded as UTF-8; an undecodable byte is reported with its line number."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        line_no = data.count(b"\n", 0, e.start) + 1
+        raise MalgraphError(f"line {line_no}: not UTF-8 text: {e}") from None
+
+
+def read_file(path, parse):
+    """`parse(data)` of the bytes at `path`.
+
+    An OSError becomes IoError and a MalgraphError raised by `parse` becomes
+    MalformedFile; both read ``cannot read <path>: ...``.
+    """
+    try:
+        data = Path(path).read_bytes()
+    except OSError as e:
+        raise IoError(f"cannot read {path}: {e}") from None
+    try:
+        return parse(data)
+    except MalgraphError as e:
+        raise MalformedFile(path, str(e)) from None
+
+
+def write_file(path, data: bytes):
+    """Write `data` to `path`; an OSError becomes IoError ``cannot write <path>: ...``."""
+    try:
+        Path(path).write_bytes(data)
+    except OSError as e:
+        raise IoError(f"cannot write {path}: {e}") from None

@@ -26,14 +26,14 @@ import numpy as np
 from .analytics import OpVocabulary, build_vocab, encode
 from .depgraph import DepGraph, build_graph, load_graph
 from .errors import (
-    EmptyUnit,
-    IoError,
-    MalformedFile,
-    MalformedLine,
+    GraphFormatError,
     MalgraphError,
     NonFiniteScores,
     SingleClass,
     TooFewSamples,
+    read_file,
+    utf8_text,
+    write_file,
 )
 from .ir import parse_trace
 from .sage import (
@@ -44,8 +44,6 @@ from .sage import (
     backward,
     forward,
     init_params,
-    load_model,
-    save_model,
 )
 
 __all__ = [
@@ -53,7 +51,7 @@ __all__ = [
     "EvalReport", "load_manifest", "save_manifest", "read_graph", "load_dataset",
     "split", "train", "auroc", "metrics", "eval_per_family", "eval_samples",
     "score_samples", "require_finite",
-    "save_history", "save_model", "load_model", "worker_count",
+    "save_history", "worker_count",
     "HISTORY_CSV_HEADER",
 ]
 
@@ -91,53 +89,50 @@ class Manifest:
         return Path(entry.path)
 
 
-def load_manifest(path) -> Manifest:
-    path = Path(path)
-    try:
-        data = path.read_bytes()
-    except OSError as e:
-        raise IoError(f"cannot read {path}: {e}") from None
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as e:
-        line_no = data.count(b"\n", 0, e.start) + 1
-        raise MalformedFile(str(path), f"line {line_no}: not UTF-8 text: {e}") from None
+def _parse_manifest(data: bytes, base_dir: str) -> Manifest:
     entries = []
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    for line_no, line in enumerate(utf8_text(data).splitlines(), start=1):
         if not line.strip():
             continue
         try:
             obj = json.loads(line)
         except (ValueError, RecursionError) as e:  # ValueError covers int-size errors
-            raise MalformedFile(str(path), f"line {line_no}: not valid JSON: {e}") from None
+            raise GraphFormatError(f"line {line_no}: not valid JSON: {e}") from None
         if not isinstance(obj, dict):
-            raise MalformedFile(str(path), f"line {line_no}: expected an object")
+            raise GraphFormatError(f"line {line_no}: expected an object")
         p, label, family = obj.get("path"), obj.get("label"), obj.get("family")
         if not isinstance(p, str) or not p:
-            raise MalformedFile(str(path), f"line {line_no}: bad path {p!r}")
+            raise GraphFormatError(f"line {line_no}: bad path {p!r}")
         if type(label) is not int or label not in (0, 1):
-            raise MalformedFile(str(path), f"line {line_no}: bad label {label!r}")
+            raise GraphFormatError(f"line {line_no}: bad label {label!r}")
         if not isinstance(family, str) or not family:
-            raise MalformedFile(str(path), f"line {line_no}: bad family {family!r}")
+            raise GraphFormatError(f"line {line_no}: bad family {family!r}")
         entries.append(ManifestEntry(p, label, family))
     try:
-        return Manifest(entries=tuple(entries), base_dir=str(path.parent))
+        return Manifest(entries=tuple(entries), base_dir=base_dir)
     except ValueError as e:
-        raise MalformedFile(str(path), str(e)) from None
+        raise GraphFormatError(str(e)) from None
+
+
+def load_manifest(path) -> Manifest:
+    path = Path(path)
+    return read_file(path, lambda data: _parse_manifest(data, str(path.parent)))
 
 
 def save_manifest(manifest: Manifest, path):
     lines = [json.dumps({"path": e.path, "label": e.label, "family": e.family},
                         separators=(",", ":"))
              for e in manifest.entries]
-    try:
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-    except OSError as e:
-        raise IoError(f"cannot write {path}: {e}") from None
+    write_file(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def worker_count() -> int:
-    """``MGN_THREADS`` or the CPU count; no command reads ``MGN_THREADS`` any more."""
+    """``MGN_THREADS`` or the CPU count.
+
+    No command reads ``MGN_THREADS`` any more; this stays only because the
+    benchmark harness (``perfbench/run.py``) imports it for its environment
+    record, and goes with the next change to the benchmark.
+    """
     raw = os.environ.get("MGN_THREADS")
     if raw is None or not raw.strip():
         return os.cpu_count() or 1
@@ -155,34 +150,20 @@ def read_graph(path, *, control_edges: bool = False,
     """The dependency graph of one file, by suffix (compared in lower case).
 
     ``.json`` is a graph document (the edge flags do not apply); anything
-    else, static ``.ll`` IR or a dynamic trace, goes through ``parse_trace``.
-    Parse errors become ``MalformedFile`` and read errors ``IoError``; both
-    name the path.
+    else, static ``.ll`` IR or a dynamic trace, is UTF-8 text for
+    ``parse_trace``.  Errors name the path (see ``errors.read_file``).
     """
     path = Path(path)
-    suffix = path.suffix.lower()
-    if suffix == ".json":
+    if path.suffix.lower() == ".json":
         return load_graph(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as e:
-        raise IoError(f"cannot read {path}: {e}") from None
-    except UnicodeDecodeError as e:
-        raise MalformedFile(str(path), f"not UTF-8 text: {e}") from None
-    try:
-        unit = parse_trace(text, path)
-    except (MalformedLine, EmptyUnit) as e:
-        raise MalformedFile(str(path), str(e)) from None
+    unit = read_file(path, lambda data: parse_trace(utf8_text(data), path))
     return build_graph(unit, control_edges=control_edges, memory_edges=memory_edges)
 
 
-def load_dataset(manifest: Manifest, *, control_edges: bool = False,
-                 memory_edges: bool = False) -> list:
+def load_dataset(manifest: Manifest) -> list:
     """All graphs of a manifest, in manifest order, labelled by the manifest."""
-    return [dataclasses.replace(
-                read_graph(manifest.resolve(e), control_edges=control_edges,
-                           memory_edges=memory_edges),
-                label=e.label, family=e.family)
+    return [dataclasses.replace(read_graph(manifest.resolve(e)),
+                                label=e.label, family=e.family)
             for e in manifest.entries]
 
 
@@ -322,8 +303,7 @@ def _require_both_classes(manifest: Manifest, which: str):
             f"{which} split must contain both classes, got labels {sorted(labels)}")
 
 
-def train(manifest: Manifest, cfg: TrainConfig, *, vocab_scope: str = "train",
-          control_edges: bool = False, memory_edges: bool = False) -> TrainResult:
+def train(manifest: Manifest, cfg: TrainConfig, *, vocab_scope: str = "train") -> TrainResult:
     """Split, build vocabulary, train for cfg.epochs, and record history.
 
     The vocabulary is built from the train split only unless
@@ -336,10 +316,8 @@ def train(manifest: Manifest, cfg: TrainConfig, *, vocab_scope: str = "train",
     _require_both_classes(train_m, "train")
     _require_both_classes(test_m, "test")
 
-    train_graphs = load_dataset(train_m, control_edges=control_edges,
-                                memory_edges=memory_edges)
-    test_graphs = load_dataset(test_m, control_edges=control_edges,
-                               memory_edges=memory_edges)
+    train_graphs = load_dataset(train_m)
+    test_graphs = load_dataset(test_m)
 
     vocab_source = train_graphs if vocab_scope == "train" else train_graphs + test_graphs
     vocab = build_vocab(vocab_source)
@@ -387,18 +365,14 @@ def train(manifest: Manifest, cfg: TrainConfig, *, vocab_scope: str = "train",
     return TrainResult(params, vocab, history, train_m, test_m, test_samples)
 
 
-def eval_per_family(params: ModelParams, vocab: OpVocabulary, manifest: Manifest, *,
-                    control_edges: bool = False, memory_edges: bool = False,
-                    batch_size: int = 64) -> EvalReport:
+def eval_per_family(params: ModelParams, vocab: OpVocabulary,
+                    manifest: Manifest) -> EvalReport:
     """Overall ACC/AUROC/F1 plus per-family accuracy on a labeled manifest."""
-    graphs = load_dataset(manifest, control_edges=control_edges,
-                          memory_edges=memory_edges)
-    return eval_samples(params, [encode(g, vocab) for g in graphs], manifest,
-                        batch_size=batch_size)
+    graphs = load_dataset(manifest)
+    return eval_samples(params, [encode(g, vocab) for g in graphs], manifest)
 
 
-def eval_samples(params: ModelParams, samples, manifest: Manifest, *,
-                 batch_size: int = 64) -> EvalReport:
+def eval_samples(params: ModelParams, samples, manifest: Manifest) -> EvalReport:
     """eval_per_family of samples already encoded from `manifest`, in its order.
 
     Raises NonFiniteScores rather than report metrics of non-finite scores.
@@ -406,7 +380,7 @@ def eval_samples(params: ModelParams, samples, manifest: Manifest, *,
     if not manifest.entries:
         raise TooFewSamples("evaluation needs at least one entry")
     labels = _labels_of(samples)
-    scores = require_finite(score_samples(params, samples, batch_size))
+    scores = require_finite(score_samples(params, samples))
     core = metrics(scores, labels)
     try:
         area = auroc(scores, labels)
@@ -430,7 +404,4 @@ def save_history(history, path):
     lines = [HISTORY_CSV_HEADER]
     lines += [f"{h.epoch},{h.train_loss!r},{h.test_acc!r},{h.test_auroc!r}"
               for h in history]
-    try:
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-    except OSError as e:
-        raise IoError(f"cannot write {path}: {e}") from None
+    write_file(path, ("\n".join(lines) + "\n").encode("utf-8"))

@@ -20,7 +20,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
@@ -31,11 +30,11 @@ from .errors import (
     EmptyDataset,
     EmptyGraph,
     GraphFormatError,
-    IoError,
-    MalformedFile,
     ShapeMismatch,
     VersionMismatch,
     VocabMismatch,
+    read_file,
+    write_file,
 )
 
 ACTIVATIONS = ("leaky_relu", "relu")
@@ -431,18 +430,8 @@ def model_from_json(data):
 
 
 def save_model(params: ModelParams, vocab: OpVocabulary, path):
-    try:
-        Path(path).write_bytes(model_to_json(params, vocab))
-    except OSError as e:
-        raise IoError(f"cannot write {path}: {e}") from None
+    write_file(path, model_to_json(params, vocab))
 
 
 def load_model(path):
-    try:
-        data = Path(path).read_bytes()
-    except OSError as e:
-        raise IoError(f"cannot read {path}: {e}") from None
-    try:
-        return model_from_json(data)
-    except (GraphFormatError, VersionMismatch, ShapeMismatch, VocabMismatch) as e:
-        raise MalformedFile(str(path), str(e)) from None
+    return read_file(path, model_from_json)

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import warnings
@@ -8,7 +9,6 @@ import pytest
 from malgraph import corpus, pipeline
 from malgraph.cli import main
 from malgraph.depgraph import from_json, to_json
-from malgraph.pipeline import Manifest, ManifestEntry, load_dataset
 
 TWO_LINE_TRACE = "%1 = add i64 %in, %in\n%2 = mul i64 %1, %1\n"
 SMALL_LL = ("define i32 @f(i32 %x) {\n  %a = mul i32 %x, %x\n"
@@ -118,14 +118,14 @@ def test_compile_non_utf8_exits_1(tmp_path, capsys):
 
 @pytest.mark.parametrize("name, text", [("u.trace", TWO_LINE_TRACE), ("u.ll", SMALL_LL)],
                          ids=["trace", "ll"])
-def test_compile_writes_the_graph_load_dataset_builds(tmp_path, capsys, name, text):
+def test_compile_writes_the_graph_read_graph_builds(tmp_path, capsys, name, text):
     src = tmp_path / name
     src.write_text(text)
     code, _, _ = run(["compile", src, "--out", tmp_path / "out", "--label", "1",
                       "--family", "worm", "--mem-deps"], capsys)
     assert code == 0
-    m = Manifest((ManifestEntry(name, 1, "worm"),), str(tmp_path))
-    [g] = load_dataset(m, memory_edges=True)
+    g = dataclasses.replace(pipeline.read_graph(src, memory_edges=True),
+                            label=1, family="worm")
     assert (tmp_path / "out" / "u.json").read_bytes() == to_json(g)
 
 

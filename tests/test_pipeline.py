@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from malgraph import pipeline
 from malgraph.corpus import CorpusSpec, generate
-from malgraph.depgraph import build_graph, save_graph
+from malgraph.depgraph import build_graph, from_json, save_graph, to_json
 from malgraph.errors import (
     IoError,
     MalformedFile,
@@ -307,6 +307,21 @@ def test_load_dataset_error_paths(tmp_path):
     m2 = Manifest((ManifestEntry("missing.trace", 0, "benign"),), str(tmp_path))
     with pytest.raises(IoError):
         load_dataset(m2)
+
+
+def test_read_graph_line_endings_give_identical_graphs(tmp_path):
+    lines = ["define i32 @f(i32 %x) {", "  %a = mul i32 %x, %x",
+             "  store i32 %a, i32* %p ; addr=0x8", "  %b = load i32, i32* %p ; addr=0x8",
+             "  br label %next", "  %c = add i32 %b, %a", "  ret i32 %c", "}"]
+    path = tmp_path / "f.ll"
+    docs = []
+    for newline in ("\n", "\r\n", "\r"):
+        path.write_bytes((newline.join(lines) + newline).encode())
+        docs.append(to_json(pipeline.read_graph(path, control_edges=True,
+                                                memory_edges=True)))
+    assert docs[0] == docs[1] == docs[2]
+    g = from_json(docs[0])
+    assert g.num_nodes == 6 and len(set(g.edge_kind.tolist())) == 3  # every edge kind
 
 
 # --- training loop -------------------------------------------------------------------
