@@ -21,7 +21,7 @@ import numpy as np
 from .analytics import encode, export_features_csv, topo_features
 from .corpus import CorpusSpec, generate
 from .depgraph import load_graph, save_graph
-from .errors import MalgraphError, NonFiniteScores, write_file
+from .errors import MalgraphError, NonFiniteScores, make_dir, write_file
 from .pipeline import (
     TrainConfig,
     eval_per_family,
@@ -77,7 +77,7 @@ def cmd_compile(args) -> int:
             label=g.label if args.label is None else args.label,
             family=g.family if args.family is None else args.family,
         ))
-    out_dir.mkdir(parents=True, exist_ok=True)
+    make_dir(out_dir)
     for (target, path), g in zip(targets.items(), graphs):
         save_graph(g, target)
         print(f"{path}: {_plural(g.num_nodes, 'node')}, "

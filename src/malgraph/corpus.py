@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import IoError, write_file
+from .errors import make_dir, write_file
 from .pipeline import Manifest, ManifestEntry, save_manifest
 
 BENIGN_FAMILIES = {"compute": 1.0, "io": 1.0, "container": 1.0}
@@ -219,10 +219,7 @@ def generate(spec: CorpusSpec, out_dir) -> Manifest:
     """Write the corpus under out_dir/traces plus out_dir/manifest.jsonl."""
     out_dir = Path(out_dir)
     traces = out_dir / "traces"
-    try:
-        traces.mkdir(parents=True, exist_ok=True)
-    except OSError as e:
-        raise IoError(f"cannot create {traces}: {e}") from None
+    make_dir(traces)
 
     entries = []
     total = spec.benign_count + spec.malicious_count

@@ -1,8 +1,9 @@
 """Exception types shared across the package, and its one file boundary.
 
 Every file the package reads or writes goes through `read_file` and
-`write_file`, so each read, write or parse failure ends in one
-`MalgraphError` whose message names the path once.
+`write_file`, and every directory it creates through `make_dir`, so each
+read, write, create or parse failure ends in one `MalgraphError` whose
+message names the path once.
 """
 
 from pathlib import Path
@@ -88,7 +89,9 @@ def utf8_text(data: bytes) -> str:
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as e:
-        line_no = data.count(b"\n", 0, e.start) + 1
+        # the bad byte's line as str.splitlines numbers it: the valid prefix's
+        # lines, with the bad byte standing in as one more character
+        line_no = len((data[:e.start].decode("utf-8") + "?").splitlines())
         raise MalgraphError(f"line {line_no}: not UTF-8 text: {e}") from None
 
 
@@ -106,6 +109,15 @@ def read_file(path, parse):
         return parse(data)
     except MalgraphError as e:
         raise MalformedFile(path, str(e)) from None
+
+
+def make_dir(path):
+    """Create directory `path` and its parents; an OSError becomes IoError
+    ``cannot create <path>: ...``."""
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise IoError(f"cannot create {path}: {e}") from None
 
 
 def write_file(path, data: bytes):

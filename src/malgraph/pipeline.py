@@ -50,12 +50,17 @@ __all__ = [
     "Manifest", "ManifestEntry", "TrainConfig", "EpochStats", "TrainResult",
     "EvalReport", "load_manifest", "save_manifest", "read_graph", "load_dataset",
     "split", "train", "auroc", "metrics", "eval_per_family", "eval_samples",
-    "score_samples", "require_finite",
+    "score_samples", "require_finite", "SCORE_ROWS",
     "save_history", "worker_count",
     "HISTORY_CSV_HEADER",
 ]
 
 HISTORY_CSV_HEADER = "epoch,train_loss,test_acc,test_auroc"
+
+# node rows per scoring forward; a graph's score can move in its last bit with
+# the rows it shares a forward with (the readout product), so changing this
+# needs the pinned score digests checked again
+SCORE_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -271,16 +276,25 @@ class EvalReport:
     threshold: float = 0.5
 
 
-def score_samples(params: ModelParams, samples, batch_size: int = 64) -> np.ndarray:
-    """Scores for a sample list, chunked to bound the disjoint-union size.
+def score_samples(params: ModelParams, samples) -> np.ndarray:
+    """Scores for a sample list, in order.
 
-    Keeps no activations.  A graph whose pooled vector is not finite scores
-    NaN: the model overflowed on it, and a saturated 0 or 1 would hide that.
+    Runs of consecutive samples of at most SCORE_ROWS nodes in all go through
+    `forward` together, keeping no activations, so memory is bounded in node
+    rows whatever the number or size of the graphs; a larger graph goes alone.
+    A graph whose pooled vector is not finite scores NaN: the model overflowed
+    on it, and a saturated 0 or 1 would hide that.
     """
     chunks = []
-    for lo in range(0, len(samples), batch_size):
-        scores, cache = forward(params, samples[lo:lo + batch_size], cache=False)
+    lo = 0
+    while lo < len(samples):
+        hi, rows = lo + 1, samples[lo].num_nodes
+        while hi < len(samples) and rows + samples[hi].num_nodes <= SCORE_ROWS:
+            rows += samples[hi].num_nodes
+            hi += 1
+        scores, cache = forward(params, samples[lo:hi], cache=False)
         chunks.append(np.where(np.isfinite(cache.pooled).all(axis=1), scores, np.nan))
+        lo = hi
     return np.concatenate(chunks) if chunks else np.empty(0)
 
 
@@ -355,7 +369,7 @@ def train(manifest: Manifest, cfg: TrainConfig, *, vocab_scope: str = "train") -
                 adam_step(params, grads, state, step, lr=cfg.lr)
                 del grads
                 loss_sum += loss * len(batch)
-            scores = score_samples(params, test_samples, cfg.batch_size)
+            scores = score_samples(params, test_samples)
             history.append(EpochStats(
                 epoch=epoch,
                 train_loss=loss_sum / n,

@@ -125,11 +125,12 @@ def _act_backward(h: np.ndarray, dh: np.ndarray, kind: str) -> np.ndarray:
     """d loss / d z from d loss / d h, where h = act(z).
 
     h > 0 exactly where z > 0 (NaN included), so the output stands in for
-    the pre-activation.  ReLU multiplies by the mask to keep dh's sign of zero.
+    the pre-activation.  Both kinds multiply dh by a slope array (the mask,
+    or 1 and LEAKY_SLOPE), which keeps dh's sign of zero.
     """
     if kind == "relu":
         return dh * (h > 0)
-    return np.where(h > 0, dh, LEAKY_SLOPE * dh)
+    return dh * np.maximum(h > 0, LEAKY_SLOPE)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -192,8 +193,10 @@ def forward(params: ModelParams, batch, *, cache: bool = True):
             hs.append(h)
         x = np.concatenate([h, agg @ h], axis=1)
         del h  # x holds a copy
-        h = _act(x @ w + b, kind)
+        h = x @ w
         del x
+        h += b
+        _act(h, kind)
 
     pooled = np.add.reduceat(h, offsets, axis=0) / counts[:, None]
     scores = _sigmoid(pooled @ params.out_W + params.out_b)

@@ -100,6 +100,18 @@ def test_compile_same_stem_exits_1_and_writes_nothing(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+def test_compile_out_that_is_a_file_names_it_and_writes_nothing(tmp_path, capsys):
+    src = tmp_path / "ok.trace"
+    src.write_text(TWO_LINE_TRACE)
+    blocker = tmp_path / "f"
+    blocker.write_text("not a directory")
+    code, out, err = run(["compile", src, "--out", blocker], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: cannot create {blocker}: ") and err.count("\n") == 1
+    assert blocker.read_text() == "not a directory"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["f", "ok.trace"]
+
+
 def test_compile_malformed_names_path_and_line(tmp_path, capsys):
     bad = tmp_path / "bad.trace"
     bad.write_text("%1 = add i64 %a, %b\n%broken\n")

@@ -43,7 +43,8 @@ def one_line_naming(e: Exception, verb: str, path) -> str:
 
 
 @pytest.mark.parametrize("reader", READERS)
-@pytest.mark.parametrize("case", ["missing", "directory", "non_utf8", "garbage"])
+@pytest.mark.parametrize("case", ["missing", "directory", "non_utf8", "non_utf8_cr",
+                                  "garbage"])
 def test_every_reader_names_its_path_once(tmp_path, reader, case):
     read, name, utf8_detail = READERS[reader]
     path = tmp_path / name
@@ -51,13 +52,15 @@ def test_every_reader_names_its_path_once(tmp_path, reader, case):
         path.mkdir()
     elif case == "non_utf8":
         path.write_bytes(b"{}\n%1 = add i64 %a, %b ; caf\xe9\n")
+    elif case == "non_utf8_cr":  # lone carriage returns end lines too
+        path.write_bytes(b"{}\r%1 = add i64 %a, %b ; caf\xe9\r")
     elif case == "garbage":
         path.write_bytes(b"}}} not a file of this kind {{{\n")
     error = IoError if case in ("missing", "directory") else MalformedFile
     with pytest.raises(error) as exc:
         read(path)
     message = one_line_naming(exc.value, "read", path)
-    if case == "non_utf8":
+    if case.startswith("non_utf8"):
         assert utf8_detail in message
 
 

@@ -10,6 +10,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from malgraph import pipeline
+from malgraph.analytics import GraphSample
 from malgraph.corpus import CorpusSpec, generate
 from malgraph.depgraph import build_graph, from_json, save_graph, to_json
 from malgraph.errors import (
@@ -22,6 +23,7 @@ from malgraph.errors import (
 from malgraph.ir import parse_trace
 from malgraph.pipeline import (
     HISTORY_CSV_HEADER,
+    SCORE_ROWS,
     EpochStats,
     Manifest,
     ManifestEntry,
@@ -34,11 +36,12 @@ from malgraph.pipeline import (
     metrics,
     save_history,
     save_manifest,
+    score_samples,
     split,
     train,
     worker_count,
 )
-from malgraph.sage import ArchConfig
+from malgraph.sage import ArchConfig, init_params
 
 
 def auroc_oracle(scores, labels):
@@ -474,6 +477,69 @@ def test_eval_single_class_has_no_auroc(tmp_path):
     with pytest.raises(TooFewSamples):
         eval_per_family(result.params, result.vocab,
                         Manifest((), manifest.base_dir))
+
+
+# --- scoring in row blocks -------------------------------------------------------------
+
+def random_samples(rng, sizes, vocab_size):
+    """One GraphSample of each node count in `sizes`, with up to 2n random edges."""
+    samples = []
+    for n in sizes:
+        edges = rng.integers(0, n, size=(2, int(rng.integers(0, 2 * n + 1))))
+        samples.append(GraphSample(node_ops=tuple(rng.integers(0, vocab_size, n).tolist()),
+                                   edge_index=edges.astype(np.int64)))
+    return samples
+
+
+def test_scoring_runs_consecutive_blocks_of_at_most_score_rows(monkeypatch):
+    rng = np.random.default_rng(36)
+    arch = ArchConfig(vocab_size=7, embed_dim=6, hidden_dim=5, num_sage_layers=2)
+    params = init_params(arch, 1)
+    q = SCORE_ROWS // 4
+    # an exact fit, two over-size graphs alone, an exact fit, one row over
+    sizes = [q, 2 * q, q, SCORE_ROWS + 1, SCORE_ROWS, 1, SCORE_ROWS - 1, 2 * q, 2 * q + 1, 3]
+    samples = random_samples(rng, sizes, arch.vocab_size)
+    blocks = []
+    real_forward = pipeline.forward
+
+    def recording_forward(params, batch, *, cache=True):
+        assert not cache
+        blocks.append(list(batch))
+        return real_forward(params, batch, cache=cache)
+
+    monkeypatch.setattr(pipeline, "forward", recording_forward)
+    scores = score_samples(params, samples)
+    assert [len(b) for b in blocks] == [3, 1, 1, 2, 1, 2]
+    assert [s for b in blocks for s in b] == samples  # consecutive, in sample order
+    for b in blocks:
+        assert len(b) == 1 or sum(s.num_nodes for s in b) <= SCORE_ROWS
+    want = np.concatenate([real_forward(params, b, cache=False)[0] for b in blocks])
+    assert np.array_equal(scores, want)  # bit for bit
+    assert score_samples(params, []).shape == (0,)
+    assert len(blocks) == 6  # no forward for an empty list
+
+
+@pytest.mark.parametrize("graphs", [30, 120])
+def test_scoring_memory_is_bounded_in_rows_not_graphs(graphs):
+    """Scoring peaks near five blocks of SCORE_ROWS x hidden float64s.
+
+    At the default 6 x 128 architecture these 30 and 120 graphs of up to 400
+    nodes peak at 3.96 and 5.01 blocks; scored in 64-graph batches, as they
+    once were, they peaked at 6.28 and 13.24, growing with the graph count.
+    """
+    rng = np.random.default_rng(35)
+    arch = ArchConfig(vocab_size=20)
+    params = init_params(arch, 0)
+    samples = random_samples(rng, rng.integers(1, 401, graphs), arch.vocab_size)
+    score_samples(params, samples)  # builds each sample's agg, kept for the next call
+    block = SCORE_ROWS * arch.hidden_dim * 8
+    tracemalloc.start()
+    try:
+        score_samples(params, samples)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * block, f"peak {peak / block:.2f} blocks"
 
 
 # --- history file -----------------------------------------------------------------------

@@ -492,8 +492,8 @@ def test_scoring_keeps_no_per_layer_activations():
     """Scoring one 64-graph batch without the cache peaks near four blocks.
 
     A block is rows x hidden float64s.  At the default 6 x 128 architecture
-    the peak measured 4.04 blocks: the [H, agg @ H] input (two), the layer's
-    pre-activation and one temporary.  The per-layer cache it replaced
+    the peak measured 4.04 blocks, while a layer builds its [H, agg @ H]
+    input (two) from H and agg @ H.  The per-layer cache it replaced
     peaked at 21; keeping even one array per layer adds six.
     """
     rng = np.random.default_rng(34)
