@@ -1,15 +1,23 @@
-"""Weighted instruction-dependency graphs, held as columns.
+"""Instruction-dependency graphs, held as columns.
 
-Nodes are trace instructions; a data edge producer → consumer is inserted when
-a consumer's source register resolves, under the most-recent-definition rule,
-to an earlier instruction's destination.  Edge weight is the byte size of the
-producer's result type.  Optional extras: memory edges (most recent store to a
-matching ``addr`` annotation → later load, weight = stored size) and control
-edges (branch/ret → next instruction in trace order, weight 1).
+Nodes are trace instructions, each carrying its opcode; a data edge producer →
+consumer is inserted when a consumer's source register resolves, under the
+most-recent-definition rule, to an earlier instruction's destination.
+Optional extras: memory edges (most recent store to a matching ``addr``
+annotation → later load) and control edges (branch/ret → next instruction in
+trace order).  Edges carry their kind and no weight: the model's mean
+aggregator (Hamilton et al. 2017) reads neighbours unweighted.
 
-The JSON interchange format written here is canonical: node order is id order,
-edges are sorted by (src, dst, kind), and serialization is key-order and
-whitespace stable, so equal graphs produce identical bytes.
+The JSON interchange format written here is version 2::
+
+    {"version":2,"origin":"...","label":0|1|null,"family":"..."|null,
+     "nodes":[{"id":0,"op":"add"},...],"edges":[{"src":0,"dst":1,"kind":"data"},...]}
+
+It is canonical: node order is id order, edges are sorted by (src, dst, kind),
+and serialization is key-order and whitespace stable, so equal graphs produce
+identical bytes.  The reader also takes version 1, whose nodes carried a
+``type`` and edges a byte-size ``w``; like any other extra key, those are not
+read.
 """
 
 from __future__ import annotations
@@ -20,8 +28,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import EmptyGraph, GraphFormatError, VersionMismatch, read_file, write_file
-from .ir import TraceUnit, ValueType, format_type, parse_type_token, sizeof_type
+from .errors import (
+    EmptyGraph,
+    GraphFormatError,
+    VersionMismatch,
+    read_file,
+    utf8_text,
+    write_file,
+)
+from .ir import TraceUnit
 
 # In name order, so sorting by kind index sorts by kind name.
 EDGE_KINDS = ("control", "data", "memory")
@@ -33,14 +48,12 @@ class DepGraph:
     """Immutable graph in the COO layout of PyTorch Geometric (Fey & Lenssen 2019).
 
     `edge_index` (2×E int64) holds each edge's (src, dst), sorted by (src, dst, kind);
-    `edge_kind` indexes `EDGE_KINDS`; `edge_weight` holds Python ints, which can pass int64.
+    `edge_kind` indexes `EDGE_KINDS`.
     """
 
     ops: tuple[str, ...]
-    types: tuple[ValueType, ...]
     edge_index: np.ndarray
     edge_kind: np.ndarray
-    edge_weight: tuple[int, ...]
     label: int | None = None
     family: str | None = None
     origin: str = ""
@@ -91,14 +104,10 @@ def build_graph(unit: TraceUnit, *, control_edges: bool = False,
         if memory_edges and inst.opcode == "store" and inst.mem_addr is not None:
             last_store[inst.mem_addr] = i
 
-    # one sort drops repeated edges; weight = the producer's size, 1 for control
+    # one sort drops repeated edges
     edge_index, edge_kind = _edge_columns(np.unique(np.array(keys, dtype=np.int64)), n)
-    types = tuple(inst.result_type for inst in insts)
-    weight = np.array([sizeof_type(t) for t in types], dtype=object)[edge_index[0]]
-    weight[edge_kind == CONTROL] = 1
-    return DepGraph(ops=tuple(inst.opcode for inst in insts), types=types,
-                    edge_index=edge_index, edge_kind=edge_kind,
-                    edge_weight=tuple(weight.tolist()), origin=unit.origin)
+    return DepGraph(ops=tuple(inst.opcode for inst in insts), edge_index=edge_index,
+                    edge_kind=edge_kind, origin=unit.origin)
 
 
 # --- interchange format -----------------------------------------------------
@@ -108,15 +117,13 @@ def to_json(g: DepGraph) -> bytes:
 
     The text is json.dumps of the document with separators (",", ":"),
     written directly: ops and the head fields go through json.dumps (each
-    distinct op once), while type tokens, kinds and ints need no escaping.
+    distinct op once), while kinds and ints need no escaping.
     """
     op_text = {op: json.dumps(op) for op in set(g.ops)}
-    nodes = ",".join(f'{{"id":{i},"op":{op_text[op]},"type":"{format_type(t)}"}}'
-                     for i, (op, t) in enumerate(zip(g.ops, g.types)))
-    edges = ",".join(f'{{"src":{s},"dst":{d},"w":{w},"kind":"{EDGE_KINDS[k]}"}}'
-                     for s, d, w, k in zip(*g.edge_index.tolist(), g.edge_weight,
-                                           g.edge_kind.tolist()))
-    return (f'{{"version":1,"origin":{json.dumps(g.origin)},"label":{json.dumps(g.label)},'
+    nodes = ",".join(f'{{"id":{i},"op":{op_text[op]}}}' for i, op in enumerate(g.ops))
+    edges = ",".join(f'{{"src":{s},"dst":{d},"kind":"{EDGE_KINDS[k]}"}}'
+                     for s, d, k in zip(*g.edge_index.tolist(), g.edge_kind.tolist()))
+    return (f'{{"version":2,"origin":{json.dumps(g.origin)},"label":{json.dumps(g.label)},'
             f'"family":{json.dumps(g.family)},"nodes":[{nodes}],"edges":[{edges}]}}'
             ).encode("utf-8")
 
@@ -127,13 +134,13 @@ def _require(cond: bool, detail: str):
 
 
 def from_json(data) -> DepGraph:
-    """Parse and validate a graph document (bytes or str)."""
+    """Parse and validate a graph document (bytes or str) of version 1 or 2."""
     try:
         obj = json.loads(data)
     except (ValueError, RecursionError) as e:  # ValueError covers decode and int-size errors
         raise GraphFormatError(f"not valid JSON: {e}") from None
     _require(isinstance(obj, dict), "top level must be an object")
-    if obj.get("version") != 1:
+    if obj.get("version") not in (1, 2):
         raise VersionMismatch(f"unsupported graph version {obj.get('version')!r}")
     for key in ("origin", "label", "family", "nodes", "edges"):
         _require(key in obj, f"missing field {key!r}")
@@ -154,33 +161,28 @@ def from_json(data) -> DepGraph:
     nodes = []
     for item in obj["nodes"]:
         if not (isinstance(item, dict) and type(item.get("id")) is int
-                and isinstance(item.get("op"), str) and isinstance(item.get("type"), str)):
+                and isinstance(item.get("op"), str)):
             raise GraphFormatError(f"bad node entry: {item!r}")
-        nodes.append((item["id"], item["op"], parse_type_token(item["type"])))
-    ids, ops, types = zip(*sorted(nodes, key=lambda node: node[0]))
+        nodes.append((item["id"], item["op"]))
+    ids, ops = zip(*sorted(nodes, key=lambda node: node[0]))
     _require(list(ids) == list(range(len(nodes))), "node ids must be dense 0..n-1")
 
     n = len(nodes)
-    edges = {}  # key (src*n + dst)*3 + kind → weight
+    keys = set()  # (src*n + dst)*3 + kind
     for item in obj["edges"]:
         if not (isinstance(item, dict) and type(item.get("src")) is int
-                and type(item.get("dst")) is int and type(item.get("w")) is int
-                and item.get("kind") in EDGE_KINDS):
+                and type(item.get("dst")) is int and item.get("kind") in EDGE_KINDS):
             raise GraphFormatError(f"bad edge entry: {item!r}")
-        src, dst, w = item["src"], item["dst"], item["w"]
+        src, dst = item["src"], item["dst"]
         if not (0 <= src < n and 0 <= dst < n):
             raise GraphFormatError(f"edge endpoint out of range: {item!r}")
-        if w < 1:
-            raise GraphFormatError(f"edge weight must be >= 1: {item!r}")
         key = (src * n + dst) * 3 + EDGE_KINDS.index(item["kind"])
-        if key in edges:
+        if key in keys:
             raise GraphFormatError(f"duplicate edge {(src, dst, item['kind'])!r}")
-        edges[key] = w
+        keys.add(key)
 
-    keys = sorted(edges)
-    edge_index, edge_kind = _edge_columns(np.array(keys, dtype=np.int64), n)
-    return DepGraph(ops=ops, types=types, edge_index=edge_index, edge_kind=edge_kind,
-                    edge_weight=tuple(map(edges.get, keys)),
+    edge_index, edge_kind = _edge_columns(np.array(sorted(keys), dtype=np.int64), n)
+    return DepGraph(ops=ops, edge_index=edge_index, edge_kind=edge_kind,
                     label=label, family=family, origin=origin)
 
 
@@ -189,4 +191,4 @@ def save_graph(g: DepGraph, path):
 
 
 def load_graph(path) -> DepGraph:
-    return read_file(Path(path), from_json)
+    return read_file(Path(path), lambda data: from_json(utf8_text(data)))

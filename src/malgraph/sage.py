@@ -34,6 +34,7 @@ from .errors import (
     VersionMismatch,
     VocabMismatch,
     read_file,
+    utf8_text,
     write_file,
 )
 
@@ -437,4 +438,4 @@ def save_model(params: ModelParams, vocab: OpVocabulary, path):
 
 
 def load_model(path):
-    return read_file(path, model_from_json)
+    return read_file(path, lambda data: model_from_json(utf8_text(data)))

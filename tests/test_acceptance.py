@@ -22,7 +22,7 @@ from malgraph.analytics import (
 from malgraph.cli import main as cli_main
 from malgraph.corpus import CorpusSpec, generate
 from malgraph.depgraph import DATA, DepGraph, build_graph
-from malgraph.ir import INT64, parse_trace, sizeof_type
+from malgraph.ir import parse_trace
 from malgraph.pipeline import TrainConfig, auroc, load_dataset, train
 from malgraph.sage import (
     ArchConfig,
@@ -60,9 +60,9 @@ def _edge_index(pairs):
 
 
 def _data_graph(n, pairs):
-    """n i64 `add` nodes joined by the data edges `pairs`, weight 8 each."""
-    return DepGraph(ops=("add",) * n, types=(INT64,) * n, edge_index=_edge_index(pairs),
-                    edge_kind=np.full(len(pairs), DATA), edge_weight=(8,) * len(pairs))
+    """n `add` nodes joined by the data edges `pairs`."""
+    return DepGraph(ops=("add",) * n, edge_index=_edge_index(pairs),
+                    edge_kind=np.full(len(pairs), DATA))
 
 
 # ------------------------------------------------------------------ 1
@@ -96,18 +96,16 @@ def _random_trace_unit(rng):
 
 def _data_edge_oracle(unit):
     """Quadratic most-recent-definition rescan, independent of build_graph."""
-    edges = {}
+    edges = set()
     last = {}
-    for ins in unit.instructions:
+    for i, ins in enumerate(unit.instructions):
         for src in ins.sources:
             j = last.get(src)
             if j is not None:
-                key = (j, ins.index)
-                if key not in edges:
-                    edges[key] = sizeof_type(unit.instructions[j].result_type)
+                edges.add((j, i))
         if ins.dest is not None:
-            last[ins.dest] = ins.index
-    return {(s, d, w) for (s, d), w in edges.items()}
+            last[ins.dest] = i
+    return edges
 
 
 def test_dependency_edges_match_rescan_oracle():
@@ -117,7 +115,7 @@ def test_dependency_edges_match_rescan_oracle():
         assert len(unit.instructions) == n
         g = build_graph(unit)
         src, dst = g.edge_index.tolist()
-        got = set(zip(src, dst, g.edge_weight))
+        got = set(zip(src, dst))
         assert (g.edge_kind == DATA).all()
         assert got == _data_edge_oracle(unit)
 
@@ -129,7 +127,7 @@ def test_two_instruction_worked_example():
     g = build_graph(unit)
     assert g.num_nodes == 2
     assert g.edge_index.tolist() == [[0], [1]]
-    assert g.edge_kind.tolist() == [DATA] and g.edge_weight == (4,)
+    assert g.edge_kind.tolist() == [DATA]
 
 
 # ------------------------------------------------------------------ 3

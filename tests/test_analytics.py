@@ -22,16 +22,15 @@ from malgraph.analytics import (
 )
 from malgraph.depgraph import EDGE_KINDS, DepGraph
 from malgraph.errors import EmptyDataset, EmptyGraph
-from malgraph.ir import INT32
 
 
 def columns(ops, edges, **meta):
-    """A DepGraph of i32 nodes with edges (src, dst, kind), in the given order."""
+    """A DepGraph with edges (src, dst, kind), in the given order."""
     src, dst, kind = zip(*edges) if edges else ((), (), ())
-    return DepGraph(ops=tuple(ops), types=(INT32,) * len(ops),
+    return DepGraph(ops=tuple(ops),
                     edge_index=np.array([src, dst], dtype=np.int64).reshape(2, -1),
                     edge_kind=np.array([EDGE_KINDS.index(k) for k in kind], dtype=np.int64),
-                    edge_weight=(4,) * len(edges), **meta)
+                    **meta)
 
 
 def make_graph(n, pairs, label=None, family=None, ops=None, origin="mem"):

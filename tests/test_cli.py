@@ -17,11 +17,11 @@ SMALL_LL = ("define i32 @f(i32 %x) {\n  %a = mul i32 %x, %x\n"
 
 
 def graph_doc(ops, pairs):
-    """Graph JSON of i64 nodes `ops` joined by the weight-8 data edges `pairs`."""
+    """Graph JSON of nodes `ops` joined by the data edges `pairs`."""
     return json.dumps({
-        "version": 1, "origin": "", "label": None, "family": None,
-        "nodes": [{"id": i, "op": op, "type": "i64"} for i, op in enumerate(ops)],
-        "edges": [{"src": s, "dst": d, "w": 8, "kind": "data"} for s, d in pairs]})
+        "version": 2, "origin": "", "label": None, "family": None,
+        "nodes": [{"id": i, "op": op} for i, op in enumerate(ops)],
+        "edges": [{"src": s, "dst": d, "kind": "data"} for s, d in pairs]})
 
 
 def run(argv, capsys):
@@ -184,27 +184,13 @@ def test_compile_edge_flags_add_edges(tmp_path, capsys):
     assert code == 0 and "2 edges" in out
 
 
-def test_compile_keeps_a_weight_past_int64(tmp_path, capsys):
-    # a vector's byte size is a Python int: 8 * 10**40 bytes has 41 digits
-    count = 10**40
-    src = tmp_path / "v.trace"
-    src.write_text(f"%v = load <{count} x i64>, ptr %p\n%w = add i64 %v, %v\n")
-    code, out, _ = run(["compile", src, "--out", tmp_path / "a"], capsys)
-    assert code == 0 and "2 nodes, 1 edge" in out
-    data = (tmp_path / "a" / "v.json").read_bytes()
-    assert json.loads(data)["edges"] == [{"src": 0, "dst": 1, "w": 8 * count, "kind": "data"}]
-    assert to_json(from_json(data)) == data
-    code, _, _ = run(["compile", tmp_path / "a" / "v.json", "--out", tmp_path / "b"], capsys)
-    assert code == 0 and (tmp_path / "b" / "v.json").read_bytes() == data
-    code, out, _ = run(["features", tmp_path / "a" / "v.json"], capsys)
-    assert code == 0 and out.splitlines()[1].endswith(",2,1,1.000000,1.000000,0.000000")
-
-
 _HUGE_INT = "i" + "7" * 5000
 _DEEP_VECTOR = "<1 x " * 1200 + "i32" + ">" * 1200
+_WIDE_VECTOR = f"<{10**40} x i64>"  # a lane count past int64
 
 
-@pytest.mark.parametrize("token", [_HUGE_INT, _DEEP_VECTOR], ids=["huge_int", "deep_vector"])
+@pytest.mark.parametrize("token", [_HUGE_INT, _DEEP_VECTOR, _WIDE_VECTOR],
+                         ids=["huge_int", "deep_vector", "wide_vector"])
 @pytest.mark.parametrize("as_json", [False, True], ids=["trace", "json"])
 def test_compile_oversize_type_token_is_opaque(tmp_path, capsys, token, as_json):
     if as_json:
@@ -218,16 +204,51 @@ def test_compile_oversize_type_token_is_opaque(tmp_path, capsys, token, as_json)
     code, _, err = run(["compile", src, "--out", tmp_path / "out"], capsys)
     assert code == 0 and err == ""
     nodes = json.loads((tmp_path / "out" / "t.json").read_text())["nodes"]
-    assert nodes[-1] == {"id": len(nodes) - 1, "op": "load", "type": "opaque"}
+    assert nodes[-1] == {"id": len(nodes) - 1, "op": "load"}
+
+
+def test_compile_upgrades_a_version_1_document(tmp_path, capsys):
+    v1 = tmp_path / "v1" / "g.json"
+    v1.parent.mkdir()
+    v1.write_text(json.dumps({
+        "version": 1, "origin": "g", "label": 1, "family": "worm",
+        "nodes": [{"id": 0, "op": "load", "type": "ptr"}, {"id": 1, "op": "add", "type": "i32"},
+                  {"id": 2, "op": "br", "type": "void"}],
+        "edges": [{"src": 1, "dst": 2, "w": 1, "kind": "control"},
+                  {"src": 0, "dst": 1, "w": 8, "kind": "data"}]}))
+    v2 = (b'{"version":2,"origin":"g","label":1,"family":"worm",'
+          b'"nodes":[{"id":0,"op":"load"},{"id":1,"op":"add"},{"id":2,"op":"br"}],'
+          b'"edges":[{"src":0,"dst":1,"kind":"data"},{"src":1,"dst":2,"kind":"control"}]}')
+    assert to_json(from_json(v1.read_bytes())) == to_json(from_json(v2)) == v2
+    code, _, err = run(["compile", v1, "--out", tmp_path / "out"], capsys)
+    assert code == 0 and err == ""
+    assert (tmp_path / "out" / "g.json").read_bytes() == v2
+
+
+def test_compile_ignores_type_tokens(tmp_path, capsys, monkeypatch):
+    trace = ("%p = alloca {t}\n"
+             "store {t} %a, {p} %p ; addr=0x8\n"
+             "%v = load {t}, {p} %p ; addr=0x8\n"
+             "%w = fadd {t} %v, %a\n"
+             "%q = getelementptr {t}, {p} %p, i64 %w\n"
+             "%r = call {t} @f({t} %w, {p} %q)\n"
+             "ret {t} %r\n")
+    monkeypatch.chdir(tmp_path)
+    for out_dir, t, p in (("narrow", "i8", "i32*"), ("wide", "<4 x double>", "ptr")):
+        Path("t.trace").write_text(trace.format(t=t, p=p))
+        code, out, _ = run(["compile", "t.trace", "--out", out_dir, "--mem-deps",
+                            "--control-edges"], capsys)
+        assert code == 0 and "7 nodes, 9 edges" in out
+    assert Path("narrow/t.json").read_bytes() == Path("wide/t.json").read_bytes()
 
 
 # SHA-256 of every graph compiled from a fixed corpus, concatenated in file
 # name order.  Generation and compilation are pure Python and each graph's
 # origin is the relative input path, so the digest holds on every machine.
 COMPILE_GOLDEN = {
-    (): "55602c7740fdc7272fca6126428aaf5dbbdf65628732bd0a1327a02f0afc82c9",
+    (): "261106c10f5e570ed3b4442a020bff6394c44d68fd02595798c859c52f51164a",
     ("--control-edges", "--mem-deps"):
-        "8b1a1bf37350ae557665526af1a1489f2f05c17b753bf5b6843f323cc8f30d1e",
+        "a718ac5ff4a6c7a97fb17403194e0241174ba81d0d0c9a160187c8ded16498dd",
 }
 
 
@@ -292,11 +313,14 @@ def test_train_rejects_bad_split(trained, tmp_path, capsys):
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_train_divergence_names_epoch_and_step(trained, tmp_path, capsys):
-    code, out, err = run(["train", "--manifest", trained / "c" / "manifest.jsonl",
-                          "--out", tmp_path / "m.json", "--epochs", "2",
-                          "--hidden", "8", "--layers", "4", "--lr", "1e300"], capsys)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(["train", "--manifest", trained / "c" / "manifest.jsonl",
+                              "--out", tmp_path / "m.json", "--epochs", "2",
+                              "--hidden", "8", "--layers", "4", "--lr", "1e300"], capsys)
     assert code == 1 and out == ""
-    assert len(err.splitlines()) == 1  # no numpy overflow warnings before it
+    assert len(err.splitlines()) == 1
+    assert caught == []  # no numpy overflow warnings before it
     # 14 training graphs make one batch per epoch; the first step's update
     # is finite, the second step's forward is not
     assert "training diverged at epoch 2, step 2: non-finite loss" in err

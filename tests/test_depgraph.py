@@ -26,7 +26,7 @@ from malgraph.errors import (
     MalgraphError,
     VersionMismatch,
 )
-from malgraph.ir import INT32, parse_trace, sizeof_type
+from malgraph.ir import parse_trace
 
 
 def oracle_edges(unit, control=False, memory=False):
@@ -35,29 +35,28 @@ def oracle_edges(unit, control=False, memory=False):
     Independent of the incremental builder; used to cross-check its edge set.
     """
     insts = unit.instructions
-    out = {}
-    for c in insts:
+    out = set()
+    for i, c in enumerate(insts):
         for r in c.sources:
-            for j in range(c.index - 1, -1, -1):
+            for j in range(i - 1, -1, -1):
                 if insts[j].dest == r:
-                    out.setdefault((j, c.index, "data"), sizeof_type(insts[j].result_type))
+                    out.add((j, i, "data"))
                     break
         if memory and c.opcode == "load" and c.mem_addr is not None:
-            for j in range(c.index - 1, -1, -1):
+            for j in range(i - 1, -1, -1):
                 p = insts[j]
                 if p.opcode == "store" and p.mem_addr == c.mem_addr:
-                    out.setdefault((j, c.index, "memory"), sizeof_type(p.result_type))
+                    out.add((j, i, "memory"))
                     break
-        if control and c.opcode in ("br", "ret") and c.index + 1 < len(insts):
-            out.setdefault((c.index, c.index + 1, "control"), 1)
-    return {(s, d, k, w) for (s, d, k), w in out.items()}
+        if control and c.opcode in ("br", "ret") and i + 1 < len(insts):
+            out.add((i, i + 1, "control"))
+    return out
 
 
 def edge_list(g):
-    """(src, dst, kind, weight) of every edge, in stored order."""
+    """(src, dst, kind) of every edge, in stored order."""
     src, dst = g.edge_index.tolist()
-    kinds = [EDGE_KINDS[k] for k in g.edge_kind.tolist()]
-    return list(zip(src, dst, kinds, g.edge_weight))
+    return list(zip(src, dst, [EDGE_KINDS[k] for k in g.edge_kind.tolist()]))
 
 
 def edge_set(g):
@@ -68,7 +67,7 @@ def test_two_line_dependency():
     unit = parse_trace("%3 = sub i32 %1, %2\n%5 = sub i32 %3, %4", "t")
     g = build_graph(unit)
     assert g.num_nodes == 2
-    assert edge_list(g) == [(0, 1, "data", 4)]
+    assert edge_list(g) == [(0, 1, "data")]
 
 
 def test_no_shared_registers_no_edges():
@@ -83,20 +82,14 @@ def test_shadowing_uses_most_recent_definition():
         "%b = sub i32 %a, %x",    # 2 must depend on 1, not 0
     ])
     g = build_graph(parse_trace(text, "t"))
-    assert edge_set(g) == {(1, 2, "data", 8)}
+    assert edge_set(g) == {(1, 2, "data")}
 
 
 def test_self_reference_uses_previous_definition():
     text = "%a = add i32 %x, %y\n%a = add i32 %a, %a"
     g = build_graph(parse_trace(text, "t"))
     # both uses of %a resolve to line 0; duplicates collapse to one edge
-    assert edge_set(g) == {(0, 1, "data", 4)}
-
-
-def test_weight_is_producer_size():
-    text = "%a = fadd double %x, %y\n%b = fadd float %a, %a\n%c = fadd double %b, %a"
-    g = build_graph(parse_trace(text, "t"))
-    assert edge_set(g) == {(0, 1, "data", 8), (1, 2, "data", 4), (0, 2, "data", 8)}
+    assert edge_set(g) == {(0, 1, "data")}
 
 
 def test_memory_edges_most_recent_store():
@@ -108,7 +101,7 @@ def test_memory_edges_most_recent_store():
     ])
     g = build_graph(parse_trace(text, "t"), memory_edges=True)
     mem = {t for t in edge_set(g) if t[2] == "memory"}
-    assert mem == {(1, 2, "memory", 4)}
+    assert mem == {(1, 2, "memory")}
     # without the flag, no memory edges at all
     g2 = build_graph(parse_trace(text, "t"))
     assert all(t[2] == "data" for t in edge_list(g2))
@@ -119,7 +112,7 @@ def test_control_edges():
     g = build_graph(parse_trace(text, "t"), control_edges=True)
     ctrl = {t for t in edge_set(g) if t[2] == "control"}
     # the final br has no successor, so only two control edges exist
-    assert ctrl == {(0, 1, "control", 1), (2, 3, "control", 1)}
+    assert ctrl == {(0, 1, "control"), (2, 3, "control")}
 
 
 def test_build_is_deterministic():
@@ -186,8 +179,8 @@ def test_data_edges_point_forward(lines):
     g = build_graph(parse_trace("\n".join(lines), "prop"),
                     control_edges=True, memory_edges=True)
     assert all(t[0] < t[1] for t in edge_list(g))
-    assert len(g.ops) == len(g.types) == g.num_nodes
-    triples = [t[:3] for t in edge_list(g)]
+    assert g.num_nodes == len(lines)
+    triples = edge_list(g)
     assert len(set(triples)) == len(triples)
     assert triples == sorted(triples)
 
@@ -212,9 +205,9 @@ def _labeled(text, label=1, family="worm"):
 def test_json_golden_bytes():
     g = _labeled("%3 = sub i32 %1, %2\n%5 = sub i32 %3, %4")
     assert to_json(g) == (
-        b'{"version":1,"origin":"t","label":1,"family":"worm",'
-        b'"nodes":[{"id":0,"op":"sub","type":"i32"},{"id":1,"op":"sub","type":"i32"}],'
-        b'"edges":[{"src":0,"dst":1,"w":4,"kind":"data"}]}'
+        b'{"version":2,"origin":"t","label":1,"family":"worm",'
+        b'"nodes":[{"id":0,"op":"sub"},{"id":1,"op":"sub"}],'
+        b'"edges":[{"src":0,"dst":1,"kind":"data"}]}'
     )
 
 
@@ -240,8 +233,8 @@ def _exactly(message):
 
 def test_json_rejections():
     ok = to_json(_labeled("%3 = sub i32 %1, %2\n%5 = sub i32 %3, %4"))
-    with pytest.raises(VersionMismatch, match=_exactly("unsupported graph version 2")):
-        from_json(ok.replace(b'"version":1', b'"version":2'))
+    with pytest.raises(VersionMismatch, match=_exactly("unsupported graph version 3")):
+        from_json(ok.replace(b'"version":2', b'"version":3'))
     with pytest.raises(GraphFormatError, match=_exactly(
             "not valid JSON: Expecting value: line 1 column 1 (char 0)")):
         from_json(b"not json at all")
@@ -252,16 +245,12 @@ def test_json_rejections():
     with pytest.raises(GraphFormatError, match=_exactly("label must be 0, 1 or null")):
         from_json(ok.replace(b'"label":1', b'"label":3'))
     with pytest.raises(GraphFormatError, match=_exactly(
-            "edge weight must be >= 1: {'src': 0, 'dst': 1, 'w': 0, 'kind': 'data'}")):
-        from_json(ok.replace(b'"w":4', b'"w":0'))
-    with pytest.raises(GraphFormatError, match=_exactly(
-            "edge endpoint out of range: {'src': 0, 'dst': 9, 'w': 4, 'kind': 'data'}")):
+            "edge endpoint out of range: {'src': 0, 'dst': 9, 'kind': 'data'}")):
         from_json(ok.replace(b'"dst":1', b'"dst":9'))
     with pytest.raises(GraphFormatError, match=_exactly("duplicate edge (0, 1, 'data')")):
         from_json(ok.replace(
-            b'"edges":[{"src":0,"dst":1,"w":4,"kind":"data"}]',
-            b'"edges":[{"src":0,"dst":1,"w":4,"kind":"data"},'
-            b'{"src":0,"dst":1,"w":8,"kind":"data"}]'))
+            b'"edges":[{"src":0,"dst":1,"kind":"data"}]',
+            b'"edges":[{"src":0,"dst":1,"kind":"data"},{"src":0,"dst":1,"kind":"data"}]'))
     with pytest.raises(GraphFormatError, match=_exactly("node ids must be dense 0..n-1")):
         from_json(ok.replace(b'"id":1', b'"id":5'))
     with pytest.raises(EmptyGraph, match=_exactly("graph 'x' has no nodes")):
@@ -336,12 +325,3 @@ def test_save_and_load(tmp_path):
     assert "bad.json" in str(exc.value)
     with pytest.raises(IoError):
         load_graph(tmp_path / "missing.json")
-
-
-def test_node_types_survive_roundtrip():
-    text = "%p = alloca double\n%v = load double, double* %p\n%c = fcmp oeq double %v, %v"
-    g = build_graph(parse_trace(text, "t"))
-    back = from_json(to_json(g))
-    assert back.types == g.types
-    assert back.types[0].kind == "pointer"
-    assert back.types[2].bits == 1

@@ -20,15 +20,15 @@ from malgraph.pipeline import (
 from malgraph.sage import ArchConfig, init_params, load_model, save_model
 
 GRAPH_DOC = json.dumps({
-    "version": 1, "origin": "", "label": None, "family": None,
-    "nodes": [{"id": 0, "op": "add", "type": "i64"}], "edges": []})
+    "version": 2, "origin": "", "label": None, "family": None,
+    "nodes": [{"id": 0, "op": "add"}], "edges": []})
 
-# reader, file name, the detail a 0xe9 byte on line 2 gives: text files report
-# the line, JSON documents the JSON decoder's complaint
+# reader, file name, the detail a 0xe9 byte on line 2 gives: every reader
+# decodes UTF-8 before parsing, so each reports the line
 READERS = {
     "manifest": (load_manifest, "m.jsonl", "line 2: not UTF-8 text"),
-    "graph": (load_graph, "g.json", "not valid JSON"),
-    "model": (load_model, "model.json", "not valid JSON"),
+    "graph": (load_graph, "g.json", "line 2: not UTF-8 text"),
+    "model": (load_model, "model.json", "line 2: not UTF-8 text"),
     "trace": (read_graph, "t.trace", "line 2: not UTF-8 text"),
     "ll": (read_graph, "f.ll", "line 2: not UTF-8 text"),
 }
