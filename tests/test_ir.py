@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from malgraph import ir
 from malgraph.errors import EmptyUnit, MalformedLine, MalgraphError
-from malgraph.ir import Register, parse_trace
+from malgraph.ir import Instruction, Register, parse_trace
 
 
 def test_basic_sub_line():
@@ -16,6 +16,50 @@ def test_basic_sub_line():
     assert inst.dest == Register("3")
     assert inst.sources == (Register("1"), Register("2"))
     assert inst.mem_addr is None
+
+
+VALUE_CALL = Instruction("call", Register("r"), (Register("x"),))
+VOID_CALL = Instruction("call", None, (Register("x"),))
+
+
+@pytest.mark.parametrize("token,expected", [
+    ("i32", VALUE_CALL),
+    ("i64", VALUE_CALL),
+    ("i1", VALUE_CALL),
+    ("float", VALUE_CALL),
+    ("double", VALUE_CALL),
+    ("i32*", VALUE_CALL),
+    ("double**", VALUE_CALL),
+    ("ptr", VALUE_CALL),
+    ("void", VOID_CALL),
+    ("i7", VALUE_CALL),       # unsupported width
+    ("banana", VALUE_CALL),
+    ("<4 x i32>", VALUE_CALL),
+    ("<2 x double>", VALUE_CALL),
+    ("i064", VALUE_CALL),     # leading zeros
+    pytest.param("i" + "0" * 253 + "64", VALUE_CALL, id="i0...064"),
+    (" <2 x i32*> ", VALUE_CALL),
+    pytest.param("i" + "7" * 5000, VALUE_CALL, id="i777..."),
+    pytest.param("<1 x " * 1200 + "i32" + ">" * 1200, VALUE_CALL,
+                 id="<1 x <1 x ...>>"),
+])
+def test_parse_type_token(token, expected):
+    """A type token is checked for shape only; `void` alone makes a call valueless."""
+    dest, other = ("%r = ", "") if expected.dest else ("", "%r = ")
+    (inst,) = parse_trace(f"{dest}call {token} @f({token} %x)", "t").instructions
+    assert inst == expected
+    with pytest.raises(MalformedLine):
+        parse_trace(f"{other}call {token} @f({token} %x)", "t")
+
+
+def test_type_tokens_past_the_length_bound_are_opaque():
+    """No type token is too long: tokens of any length type an operand."""
+    store = Instruction("store", None, (Register("v"), Register("p")))
+    for token in ["i" + "0" * 254 + "64",
+                  "<02 x i" + "0" * 250 + "8>",
+                  "%struct." + "x" * 1000 + "*"]:
+        (inst,) = parse_trace(f"store {token} %v, ptr %p", "t").instructions
+        assert inst == store
 
 
 def test_type_tokens_and_registers_are_shared():
