@@ -3,18 +3,16 @@
 Centralities are computed on the simple undirected unweighted view of the
 graph with self-loops dropped.  Closeness uses the reachable-set-scaled
 (Wasserman–Faust) form so disconnected graphs still get finite values;
-betweenness uses Brandes' accumulation with each unordered pair counted once,
-normalized by 2/((n-1)(n-2)).
+betweenness counts each unordered pair once, normalized by 2/((n-1)(n-2)).
 
-Both come from one numpy kernel: level-synchronous multi-source Brandes
-(Brandes 2001, run as in the Combinatorial BLAS, Buluç & Gilbert 2011).  It
-traverses a block of sources at once over the sorted arc arrays, counting
-shortest paths σ forward level by level and adding the dependencies δ back
-from the deepest level.  Closeness reads the same hop distances, with integer
-reach counts and distance sums.  Path counts can pass float64's range, so a
-level's σ is rescaled by a power of two per source once it grows large, and
-the exponents are carried into the σ ratios of the backward pass; scaling by
-powers of two is exact, so no value moves where nothing would overflow.
+Only the per-graph averages are reported, and they need hop distances alone.
+Every shortest s–t path has d(s, t) - 1 interior nodes, so the betweenness of
+all nodes sums to the sum of d(s, t) - 1 over ordered reachable pairs; no
+shortest path is counted and nothing is accumulated backward.  The distances
+come from a bit-parallel breadth-first search (Akiba, Iwata & Yoshida, SIGMOD
+2013): bit s of a node's word holds whether source s is within k hops, so one
+OR over each node's arcs, its own loop included, takes 64 sources a level
+further per word.  Reach counts and distance sums are exact integers.
 """
 
 from __future__ import annotations
@@ -137,103 +135,66 @@ def one_hot(node_ops, size: int) -> np.ndarray:
 
 # --- topology ---------------------------------------------------------------
 
-# A block takes as many sources as keep sources × max(directed arcs, nodes)
-# under this many cells; that bounds the kernel's memory for any graph size.
-_BLOCK_CELLS = 1 << 16
-# A level whose largest path count exceeds this is rescaled by powers of two,
-# leaving room for the next level's sums before float64 overflows.
-_SIGMA_RESCALE = 2.0 ** 512
-
-
-def _brandes_block(sources, indptr, step):
-    """Level-synchronous Brandes from every one of `sources` at once.
-
-    A (source b, node v) pair is the flat id b*n + v, so one gather over the
-    CSR arcs (`step` is head minus tail) expands every BFS frontier of the
-    block.  Returns the (len(sources), n) hop distances, -1 where unreached,
-    and the dependencies δ_s(v) of each source s on every node v.
-    """
-    n = len(indptr) - 1
-    deg = np.diff(indptr)
-    size = len(sources) * n
-    frontier = np.arange(len(sources)) * n + sources
-    dist = np.full(size, -1, dtype=np.int64)
-    sigma = np.zeros(size)
-    slot = np.empty(size, dtype=np.intp)
-    dist[frontier] = 0
-    sigma[frontier] = 1.0
-    levels = []
-    depth = 0
-    while frontier.size:
-        node = frontier % n
-        count = deg[node]
-        v = np.repeat(frontier, count)
-        arc = np.repeat(indptr[node] - np.cumsum(count) + count, count) + np.arange(v.size)
-        w = v + step[arc]
-        fresh = dist[w] < 0  # arcs into the next level: shortest-path DAG arcs
-        v, w = v[fresh], w[fresh]
-        depth += 1
-        dist[w] = depth
-        np.add.at(sigma, w, sigma[v])
-        # dedupe without sorting: one of each id's arcs wins the scatter
-        pos = np.arange(w.size)
-        slot[w] = pos
-        frontier = w[slot[w] == pos]
-        shift = None
-        if frontier.size and sigma[frontier].max() > _SIGMA_RESCALE:
-            # σ_true = σ · 2^(exponents so far); scaling by 2^k is exact
-            top = np.zeros(len(sources))
-            np.maximum.at(top, frontier // n, sigma[frontier])
-            shift = np.frexp(top)[1]
-            sigma[frontier] = np.ldexp(sigma[frontier], -shift[frontier // n])
-        levels.append((v, w, shift))
-    delta = np.zeros(size)
-    for v, w, shift in reversed(levels):
-        ratio = sigma[v] / sigma[w]
-        if shift is not None:
-            ratio = np.ldexp(ratio, -shift[w // n])
-        np.add.at(delta, v, ratio * (1.0 + delta[w]))
-    return dist.reshape(-1, n), delta.reshape(-1, n)
+# A block takes as many 64-source words as keep words × arcs (each node's loop
+# included) under this many; that bounds the kernel's memory for any graph size.
+_BLOCK_WORDS = 1 << 16
 
 
 def _centralities(g: DepGraph):
-    """Per-node (degree, closeness, betweenness) arrays of a non-empty graph."""
+    """Per-node degree and closeness of a non-empty graph, and `pair_sum`.
+
+    `pair_sum` is the exact sum of d(s, t) - 1 over ordered pairs of distinct
+    nodes with t reachable from s, that is, the sum of every node's
+    betweenness before normalisation.
+    """
     n = g.num_nodes
-    tail, head = _undirected_arcs(g.edge_index, n)
-    tail, head = tail[tail != head], head[tail != head]  # self-loops carry no path
-    step = head - tail
-    deg = np.bincount(tail, minlength=n)
-    indptr = np.concatenate(([0], np.cumsum(deg)))
+    # every node's closed neighbourhood, so each has an arc segment: its own
+    # loop, which carries no path, and one arc to each neighbour
+    loops = np.tile(np.arange(n), (2, 1))
+    tail, head = _undirected_arcs(np.concatenate([g.edge_index, loops], axis=1), n)
+    starts = np.flatnonzero(np.diff(tail, prepend=-1))
+    deg = np.diff(starts, append=len(tail)) - 1
+    # sources that reach node t, and the sum of their hop distances to t
+    reach = np.zeros(n, dtype=np.int64)
+    total = np.zeros(n, dtype=np.int64)
+    words = max(1, _BLOCK_WORDS // len(tail))
+    for first in range(0, n, 64 * words):
+        bit = np.arange(min(64 * words, n - first))
+        # bit b of ball[t] is set once source first + b lies within k hops of t
+        ball = np.zeros((n, -(-len(bit) // 64)), dtype=np.uint64)
+        ball[first + bit, bit // 64] = np.uint64(1) << (bit % 64).astype(np.uint64)
+        size = np.bitwise_count(ball).sum(axis=1, dtype=np.int64)
+        depth = 0
+        while True:
+            ball = np.bitwise_or.reduceat(np.take(ball, head, axis=0), starts, axis=0)
+            grown = np.bitwise_count(ball).sum(axis=1, dtype=np.int64)
+            fresh = grown - size
+            if not fresh.any():
+                break
+            depth += 1
+            total += depth * fresh
+            size = grown
+        reach += size
+    ok = reach > 1
     closeness = np.zeros(n)
-    cb = np.zeros(n)
-    block = max(1, _BLOCK_CELLS // max(len(tail), n))
-    for first in range(0, n, block):
-        sources = np.arange(first, min(first + block, n))
-        dist, delta = _brandes_block(sources, indptr, step)
-        reached = dist >= 0
-        r = reached.sum(axis=1)
-        total = np.where(reached, dist, 0).sum(axis=1)
-        ok = r > 1
-        closeness[sources[ok]] = ((r[ok] - 1) / total[ok]) * ((r[ok] - 1) / (n - 1))
-        delta[np.arange(len(sources)), sources] = 0.0
-        cb += delta.sum(axis=0)
-    # each unordered pair was accumulated from both endpoints
-    betweenness = cb * (1.0 / ((n - 1) * (n - 2))) if n > 2 else np.zeros(n)
-    return deg / max(n - 1, 1), closeness, betweenness
+    closeness[ok] = ((reach[ok] - 1) / total[ok]) * ((reach[ok] - 1) / (n - 1))
+    pair_sum = int(total.sum() - (reach - 1).sum())
+    return deg / max(n - 1, 1), closeness, pair_sum
 
 
 def topo_features(g: DepGraph) -> TopoFeatures:
     if not g.num_nodes:
         raise EmptyGraph(f"no topology for empty graph {g.origin!r}")
     n = g.num_nodes
-    degree, closeness, betweenness = _centralities(g)
+    degree, closeness, pair_sum = _centralities(g)
+    betweenness = pair_sum * (1.0 / ((n - 1) * (n - 2))) if n > 2 else 0.0
     # Python's left-to-right sum, so the averages match a per-node loop exactly
     return TopoFeatures(
         num_nodes=n,
         num_edges=g.num_edges,
         avg_degree_centrality=sum(degree.tolist()) / n,
         avg_closeness_centrality=sum(closeness.tolist()) / n,
-        avg_betweenness_centrality=sum(betweenness.tolist()) / n,
+        avg_betweenness_centrality=betweenness / n,
     )
 
 

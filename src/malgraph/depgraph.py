@@ -140,8 +140,9 @@ def from_json(data) -> DepGraph:
     except (ValueError, RecursionError) as e:  # ValueError covers decode and int-size errors
         raise GraphFormatError(f"not valid JSON: {e}") from None
     _require(isinstance(obj, dict), "top level must be an object")
-    if obj.get("version") not in (1, 2):
-        raise VersionMismatch(f"unsupported graph version {obj.get('version')!r}")
+    version = obj.get("version")
+    if type(version) is not int or version not in (1, 2):  # not true, not 2.0
+        raise VersionMismatch(f"unsupported graph version {version!r}")
     for key in ("origin", "label", "family", "nodes", "edges"):
         _require(key in obj, f"missing field {key!r}")
 

@@ -374,8 +374,9 @@ def model_from_json(data):
         raise GraphFormatError(f"not valid JSON: {e}") from None
     if not isinstance(obj, dict):
         raise GraphFormatError("top level must be an object")
-    if obj.get("version") != 1:
-        raise VersionMismatch(f"unsupported model version {obj.get('version')!r}")
+    version = obj.get("version")
+    if type(version) is not int or version != 1:  # not true, not 1.0
+        raise VersionMismatch(f"unsupported model version {version!r}")
     for key in ("arch", "vocab", "weights"):
         if key not in obj:
             raise GraphFormatError(f"missing field {key!r}")
@@ -392,7 +393,7 @@ def model_from_json(data):
         raise GraphFormatError(f"bad arch: {e}") from None
 
     vob = obj["vocab"]
-    if not isinstance(vob, dict) or vob.get("version") != 1:
+    if not isinstance(vob, dict) or type(vob.get("version")) is not int or vob["version"] != 1:
         raise GraphFormatError("bad embedded vocabulary")
     names = vob.get("names")
     if not isinstance(names, list) or not all(isinstance(s, str) for s in names):

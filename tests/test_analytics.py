@@ -1,6 +1,8 @@
 """Centrality oracles, vocabulary/encoding behavior, and CSV export format."""
 
+import functools
 import random
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -233,8 +235,10 @@ def test_betweenness_matches_sigma_oracle_up_to_50_nodes():
         assert tf.avg_betweenness_centrality == pytest.approx(sum(sig) / n, abs=1e-9)
 
 
-def _block_test_graphs():
-    """Disconnected graphs, isolated nodes, self-loops and duplicate edges."""
+@functools.cache
+def _block_test_cases():
+    """(n, pairs, closeness oracle, summed betweenness oracle) of graphs with
+    several components, isolated nodes, self-loops and duplicate edges."""
     rng = random.Random(321)
     graphs = [
         (7, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5)]),    # two components + isolated 6
@@ -245,7 +249,14 @@ def _block_test_graphs():
         n = rng.randint(3, 40)
         pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 2 * n))]
         graphs.append((n, pairs))
-    return graphs
+    for _ in range(3):
+        # more sources than one 64-bit word holds, sparse enough that the
+        # 1000-word budget takes several words per block
+        n = rng.randint(65, 200)
+        pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(n // 2, 3 * n // 4))]
+        graphs.append((n, pairs))
+    return [(n, pairs, closeness_oracle(n, pairs), sum(betweenness_sigma_oracle(n, pairs)))
+            for n, pairs in graphs]
 
 
 def _with_duplicate_kinds(n, pairs):
@@ -254,27 +265,32 @@ def _with_duplicate_kinds(n, pairs):
                                  for kind in ("data", "memory")])
 
 
-@pytest.mark.parametrize("cells", [1, 100, 400])
-def test_centralities_across_source_blocks_match_oracles(monkeypatch, cells):
-    # a few sources per block, so most graphs span several blocks
-    monkeypatch.setattr(analytics, "_BLOCK_CELLS", cells)
-    for n, pairs in _block_test_graphs():
-        deg, clo, bet = _centralities(_with_duplicate_kinds(n, pairs))
+@pytest.mark.parametrize("words", [1, 100, 400, 1000])
+def test_centralities_across_source_blocks_match_oracles(monkeypatch, words):
+    # one or more 64-source words per block; most graphs span several blocks
+    monkeypatch.setattr(analytics, "_BLOCK_WORDS", words)
+    for n, pairs, clo_oracle, bet_oracle in _block_test_cases():
+        deg, clo, pair_sum = _centralities(_with_duplicate_kinds(n, pairs))
         assert deg.tolist() == [len(a) / (n - 1) for a in undirected_sets(n, pairs)]
-        assert clo.tolist() == pytest.approx(closeness_oracle(n, pairs), abs=1e-12)
-        assert bet.tolist() == pytest.approx(betweenness_sigma_oracle(n, pairs), abs=1e-9)
+        assert clo.tolist() == pytest.approx(clo_oracle, abs=1e-12)
+        assert pair_sum / ((n - 1) * (n - 2)) == pytest.approx(bet_oracle, abs=1e-9)
 
 
-def test_sigma_rescaling_is_exact(monkeypatch):
-    # rescaling σ at every level must not move a single bit
-    for n, pairs in _block_test_graphs():
-        g = _with_duplicate_kinds(n, pairs)
-        plain = _centralities(g)
-        monkeypatch.setattr(analytics, "_SIGMA_RESCALE", 0.0)
-        rescaled = _centralities(g)
-        monkeypatch.undo()
-        for a, b in zip(plain, rescaled):
-            assert np.array_equal(a, b)
+def test_topo_features_memory_is_bounded_by_source_blocks():
+    # With every source in one block, a 20,000-node star would take n × n/64
+    # words (50 MB) for its balls alone.
+    n = 20_000
+    g = make_graph(n, [(0, v) for v in range(1, n)])
+    tracemalloc.start()
+    try:
+        topo_features(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # A block holds four arrays of at most _BLOCK_WORDS words: the balls, their
+    # gather along the arcs, the next balls and the balls' bit counts.  The
+    # arcs and per-node counts take a few dozen words per node.
+    assert peak < 8 * (4 * analytics._BLOCK_WORDS + 32 * n)
 
 
 @given(_random_graph(max_n=12))

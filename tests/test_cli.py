@@ -263,6 +263,19 @@ def test_compile_golden_digest(tmp_path, capsys, monkeypatch, flags):
     assert hashlib.sha256(b"".join(blobs)).hexdigest() == COMPILE_GOLDEN[flags]
 
 
+# Recorded with the Brandes kernel that counted shortest paths, before the
+# averages were taken from hop distances alone.
+FEATURES_GOLDEN = "0ca4860ddf26f5949d22529603d85d2eeea008968c9c5d05a0b37073c62f469c"
+
+
+def test_features_golden_digest(tmp_path, capsys, monkeypatch):
+    corpus.generate(corpus.CorpusSpec(benign_count=8, malicious_count=8, seed=7), tmp_path)
+    monkeypatch.chdir(tmp_path)
+    code, _, _ = run(["features", "--manifest", "manifest.jsonl", "--csv", "f.csv"], capsys)
+    assert code == 0
+    assert hashlib.sha256((tmp_path / "f.csv").read_bytes()).hexdigest() == FEATURES_GOLDEN
+
+
 # ---------------------------------------------------------------- corpus
 
 def test_corpus_writes_traces_and_manifest(tmp_path, capsys):

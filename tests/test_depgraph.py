@@ -257,6 +257,14 @@ def test_json_rejections():
         from_json(b'{"version":1,"origin":"x","label":null,"family":null,"nodes":[],"edges":[]}')
 
 
+@pytest.mark.parametrize("version", [b"true", b"1.0", b"2.0", b'"2"', b"null"])
+def test_json_version_must_be_the_integer_1_or_2(version):
+    ok = to_json(_labeled("%3 = sub i32 %1, %2\n%5 = sub i32 %3, %4"))
+    message = f"unsupported graph version {json.loads(version)!r}"
+    with pytest.raises(VersionMismatch, match=_exactly(message)):
+        from_json(ok.replace(b'"version":2', b'"version":' + version))
+
+
 @pytest.mark.parametrize("doc,detail", [
     (b"[" * 100_000 + b"]" * 100_000, "maximum recursion depth exceeded"),
     (b'{"version":1,"origin":"x","label":null,"family":null,"nodes":[],"edges":[],'

@@ -3,6 +3,7 @@
 import copy
 import json
 import math
+import re
 import tracemalloc
 import types
 
@@ -613,6 +614,18 @@ def test_model_shape_error_names_tensor():
     with pytest.raises(ShapeMismatch) as exc:
         model_from_json(json.dumps(obj))
     assert "sage_W.1" in str(exc.value)
+
+
+@pytest.mark.parametrize("version", [True, 1.0, "1", None])
+def test_model_version_must_be_the_integer_1(version):
+    bad = json.loads(model_to_json(init_params(SMALL, 13), VOCAB5))
+    bad["version"] = version
+    with pytest.raises(VersionMismatch, match=f"^{re.escape(f'unsupported model version {version!r}')}$"):
+        model_from_json(json.dumps(bad))
+    bad["version"] = 1
+    bad["vocab"]["version"] = version
+    with pytest.raises(GraphFormatError, match="^bad embedded vocabulary$"):
+        model_from_json(json.dumps(bad))
 
 
 def test_model_rejections(tmp_path):
