@@ -75,7 +75,6 @@ class GraphSample:
     node_ops: tuple[int, ...]
     edge_index: np.ndarray
     label: int | None = None
-    family: str | None = None
 
     @property
     def num_nodes(self) -> int:
@@ -122,7 +121,7 @@ def encode(g: DepGraph, vocab: OpVocabulary) -> GraphSample:
     if not g.num_nodes:
         raise EmptyGraph(f"cannot encode empty graph {g.origin!r}")
     return GraphSample(node_ops=tuple(map(vocab.index_of, g.ops)),
-                       edge_index=g.edge_index, label=g.label, family=g.family)
+                       edge_index=g.edge_index, label=g.label)
 
 
 def one_hot(node_ops, size: int) -> np.ndarray:

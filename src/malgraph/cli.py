@@ -2,9 +2,10 @@
 
 Subcommands: ``compile`` (IR/trace text, or graph JSON, to canonical graph
 JSON), ``corpus`` (synthetic dataset), ``train``, ``predict``, ``eval``, and
-``features``.  Every command works through its files one at a time.  Exit
-codes: 0 success, 1 operational error (unreadable or malformed input), 2 usage
-error (bad flags).
+``features``.  Every file a command reads goes through ``read_graph``: a
+``.json`` path is graph JSON, any other path is ``.ll`` IR or trace text.
+Every command works through its files one at a time.  Exit codes: 0 success,
+1 operational error (unreadable or malformed input), 2 usage error (bad flags).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from .analytics import encode, export_features_csv, topo_features
 from .corpus import CorpusSpec, generate
-from .depgraph import load_graph, save_graph
+from .depgraph import save_graph
 from .errors import MalgraphError, NonFiniteScores, make_dir, write_file
 from .pipeline import (
     TrainConfig,
@@ -41,6 +42,16 @@ _ACTIVATION_FLAGS = {"relu": "relu", "leaky-relu": "leaky_relu"}
 
 def _plural(n: int, noun: str) -> str:
     return f"{n} {noun}" if n == 1 else f"{n} {noun}s"
+
+
+def _at_least(k: int):
+    """An argparse ``type=`` for an integer no smaller than `k`."""
+    def integer(text: str) -> int:
+        n = int(text)
+        if n < k:
+            raise argparse.ArgumentTypeError(f"must be >= {k}, got {n}")
+        return n
+    return integer
 
 
 def _input_files(paths) -> list[Path]:
@@ -86,9 +97,6 @@ def cmd_compile(args) -> int:
 
 
 def cmd_corpus(args) -> int:
-    if args.benign < 1 or args.malicious < 1:
-        print("error: --benign and --malicious must be >= 1", file=sys.stderr)
-        return 2
     spec = CorpusSpec(benign_count=args.benign, malicious_count=args.malicious,
                       seed=args.seed, easy=args.easy)
     manifest = generate(spec, args.out)
@@ -135,7 +143,7 @@ def _scoring(model):
 
 def cmd_predict(args) -> int:
     params, vocab = load_model(args.model)
-    samples = [encode(load_graph(p), vocab) for p in args.graphs]
+    samples = [encode(read_graph(p), vocab) for p in args.graphs]
     with _scoring(args.model):
         scores = require_finite(score_samples(params, samples))
     for path, score in zip(args.graphs, scores):
@@ -183,11 +191,10 @@ def cmd_features(args) -> int:
         manifest = load_manifest(args.manifest)
         graphs = load_dataset(manifest)
         origins = [e.path for e in manifest.entries]
-        labels = [e.label for e in manifest.entries]
     else:
-        graphs = [load_graph(p) for p in args.graphs]
+        graphs = [read_graph(p) for p in args.graphs]
         origins = [str(p) for p in args.graphs]
-        labels = [g.label for g in graphs]
+    labels = [g.label for g in graphs]
     feats = [topo_features(g) for g in graphs]
     text = export_features_csv(zip(origins, labels, feats))
     if args.csv:
@@ -221,9 +228,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("corpus", help="generate a labeled synthetic corpus")
     p.add_argument("--out", required=True, help="corpus output directory")
-    p.add_argument("--benign", type=int, default=500)
-    p.add_argument("--malicious", type=int, default=500)
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--benign", type=_at_least(1), default=500)
+    p.add_argument("--malicious", type=_at_least(1), default=500)
+    p.add_argument("--seed", type=_at_least(0), default=42)
     p.add_argument("--easy", action="store_true",
                    help="let the classes differ in vocabulary, not just shape")
     p.set_defaults(fn=cmd_corpus)
@@ -231,12 +238,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train a classifier from a manifest")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", default="model.json", help="model output path")
-    p.add_argument("--epochs", type=int, default=30)
-    p.add_argument("--batch-size", type=int, default=32)
+    p.add_argument("--epochs", type=_at_least(1), default=30)
+    p.add_argument("--batch-size", type=_at_least(1), default=32)
     p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_at_least(0), default=0)
     p.add_argument("--layers", type=int, choices=(4, 6, 8, 10), default=6)
-    p.add_argument("--hidden", type=int, default=128,
+    p.add_argument("--hidden", type=_at_least(1), default=128,
                    help="hidden width, also used for the embedding")
     p.add_argument("--no-embedding", action="store_true",
                    help="feed raw one-hot features to the first layer")
@@ -248,9 +255,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--history", default=None, help="per-epoch metrics CSV path")
     p.set_defaults(fn=cmd_train)
 
-    p = sub.add_parser("predict", help="score graph JSON files with a model")
+    p = sub.add_parser("predict", help="score .ll/.trace/.json files with a model")
     p.add_argument("--model", required=True)
-    p.add_argument("graphs", nargs="+", help="graph JSON files")
+    p.add_argument("graphs", nargs="+",
+                   help=".json files are graph JSON; any other file is .ll or trace text")
     p.set_defaults(fn=cmd_predict)
 
     p = sub.add_parser("eval", help="evaluate a model against a labeled manifest")
@@ -263,7 +271,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("features", help="export topological features as CSV")
-    p.add_argument("graphs", nargs="*", help="graph JSON files")
+    p.add_argument("graphs", nargs="*",
+                   help=".json files are graph JSON; any other file is .ll or trace text")
     p.add_argument("--manifest", default=None)
     p.add_argument("--csv", default=None, help="write CSV here instead of stdout")
     p.set_defaults(fn=cmd_features)

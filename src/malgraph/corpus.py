@@ -8,8 +8,8 @@ redefinition loops.  Both classes draw from the same opcode set by default so
 classes differ in structure more than vocabulary; ``easy=True`` skews the
 vocabulary instead for quick smoke tests.
 
-Every file derives its own generator from (seed, file index), so serial and
-parallel generation produce identical bytes.
+Every file draws from its own generator, seeded by (seed, file index), so its
+bytes do not depend on the files generated before it.
 """
 
 from __future__ import annotations

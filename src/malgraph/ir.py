@@ -30,7 +30,7 @@ parse hands out one shared ``Register`` per name and function scope.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import EmptyUnit, MalformedLine
 
@@ -75,17 +75,10 @@ class Instruction:
 
 @dataclass(frozen=True)
 class TraceUnit:
-    """A parsed file: the instruction sequence plus register bookkeeping.
-
-    `args` holds declared function parameters; `externals` holds every register
-    (or branch label) that is consumed before any definition is seen, so no
-    source token is ever silently dropped.
-    """
+    """A parsed file: its origin and its instruction sequence."""
 
     origin: str
     instructions: tuple[Instruction, ...]
-    args: frozenset[Register] = field(default_factory=frozenset)
-    externals: frozenset[Register] = field(default_factory=frozenset)
 
 
 _REG_TOKEN = re.compile(r"%([\w.$-]+)")
@@ -276,7 +269,6 @@ def parse_trace(text: str, origin) -> TraceUnit:
     resolved downstream.
     """
     instructions: list[Instruction] = []
-    args: set[Register] = set()
     function = ""
     scopes = {function: _Registers(function)}
     regs = scopes[function]
@@ -301,7 +293,6 @@ def parse_trace(text: str, origin) -> TraceUnit:
         if m:
             function = m.group(1)
             regs = scopes.setdefault(function, _Registers(function))
-            args.update(regs[t] for t in _REG_TOKEN.findall(m.group(2)))
             continue
         if _LABEL_RE.match(line) or line.startswith(_SKIP_PREFIXES):
             continue
@@ -314,19 +305,4 @@ def parse_trace(text: str, origin) -> TraceUnit:
 
     if not instructions:
         raise EmptyUnit(f"no instructions found in {origin}")
-
-    defined: set[Register] = set()
-    externals: set[Register] = set()
-    for inst in instructions:
-        for src in inst.sources:
-            if src not in defined and src not in args:
-                externals.add(src)
-        if inst.dest is not None:
-            defined.add(inst.dest)
-
-    return TraceUnit(
-        origin=str(origin),
-        instructions=tuple(instructions),
-        args=frozenset(args),
-        externals=frozenset(externals),
-    )
+    return TraceUnit(str(origin), tuple(instructions))

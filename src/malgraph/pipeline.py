@@ -262,7 +262,6 @@ class TrainResult:
     params: ModelParams
     vocab: OpVocabulary
     history: list
-    train_manifest: Manifest
     test_manifest: Manifest
     test_samples: list
 
@@ -376,7 +375,7 @@ def train(manifest: Manifest, cfg: TrainConfig, *, vocab_scope: str = "train") -
                 test_acc=metrics(scores, test_labels)["acc"],
                 test_auroc=auroc(scores, test_labels),
             ))
-    return TrainResult(params, vocab, history, train_m, test_m, test_samples)
+    return TrainResult(params, vocab, history, test_m, test_samples)
 
 
 def eval_per_family(params: ModelParams, vocab: OpVocabulary,

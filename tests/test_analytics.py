@@ -340,7 +340,7 @@ def test_encode_lookup_and_unknown():
     s = encode(g, vocab)
     assert s.node_ops == (2, 2)
     assert s.edge_index.tolist() == [[0], [1]]
-    assert s.label == 1 and s.family == "worm"
+    assert s.label == 1
 
     g2 = make_graph(1, [], ops=["cmpxchg"])
     assert encode(g2, vocab).node_ops == (0,)

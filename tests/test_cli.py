@@ -299,6 +299,19 @@ def test_corpus_zero_count_is_usage_error(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command, flag, value", [
+    ("train", "--epochs", "0"), ("train", "--batch-size", "0"),
+    ("train", "--hidden", "0"), ("train", "--seed", "-1"),
+    ("corpus", "--seed", "-1")])
+def test_out_of_range_integer_flag_is_usage_error(trained, tmp_path, capsys,
+                                                  command, flag, value):
+    where = ["--manifest", trained / "c" / "manifest.jsonl"] if command == "train" else []
+    code, out, err = run([command, *where, "--out", tmp_path / "x", flag, value], capsys)
+    assert code == 2 and out == ""
+    assert flag in err and "Traceback" not in err
+    assert not (tmp_path / "x").exists()
+
+
 # ---------------------------------------------------------------- train
 
 def test_train_writes_model_history_and_metrics(trained, capsys):
@@ -377,22 +390,37 @@ def test_train_malformed_manifest_names_file_and_line(tmp_path, capsys, data, de
 
 # ---------------------------------------------------------------- predict
 
-def test_predict_line_format(trained, tmp_path, capsys):
+@pytest.mark.parametrize("raw", [False, True], ids=["json", "trace"])
+def test_predict_line_format(trained, tmp_path, capsys, raw):
     traces = sorted((trained / "c" / "traces").glob("*.trace"))[:2]
     run(["compile", *traces, "--out", tmp_path], capsys)
-    graphs = sorted(tmp_path.glob("*.json"))
-    code, out, _ = run(["predict", "--model", trained / "model.json", *graphs],
+    graphs = [tmp_path / (t.stem + ".json") for t in traces]
+    inputs = traces if raw else graphs
+    code, out, _ = run(["predict", "--model", trained / "model.json", *inputs],
                        capsys)
     assert code == 0
     lines = out.splitlines()
     assert len(lines) == 2
-    for line, g in zip(lines, graphs):
+    for line, g in zip(lines, inputs):
         path, score, verdict = line.split("\t")
         assert path == str(g)
         assert verdict in ("malicious", "benign")
         s = float(score)
         assert score == f"{s:.6f}"
         assert (verdict == "malicious") == (s >= 0.5)
+    # a trace scores exactly as the graph JSON compiled from it
+    _, compiled, _ = run(["predict", "--model", trained / "model.json", *graphs], capsys)
+    assert [line.split("\t")[1:] for line in lines] == \
+        [line.split("\t")[1:] for line in compiled.splitlines()]
+
+
+def test_predict_malformed_trace_exits_1_naming_path(trained, tmp_path, capsys):
+    bad = tmp_path / "bad.trace"
+    bad.write_text("%1 = add i64 %a, %b\n%broken\n")
+    code, out, err = run(["predict", "--model", trained / "model.json", bad], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(bad) in err and "line 2" in err
 
 
 def test_predict_out_of_vocab_graph_scores(trained, tmp_path, capsys):
@@ -594,6 +622,18 @@ def test_features_p3_row(tmp_path, capsys):
     lines = out.splitlines()
     assert lines[0] == "origin,label,nodes,edges,avg_degree_c,avg_closeness_c,avg_betweenness_c"
     assert lines[1] == f"{path},,3,2,0.666667,0.777778,0.333333"
+
+
+def test_features_trace_row_matches_its_compiled_json(tmp_path, capsys):
+    src = tmp_path / "p3.trace"
+    src.write_text("%a = add i32 %x, %x\n%b = mul i32 %a, %a\n%c = xor i32 %b, %b\n")
+    run(["compile", src, "--out", tmp_path / "g"], capsys)
+    rows = {}
+    for path in (src, tmp_path / "g" / "p3.json"):
+        code, out, _ = run(["features", path], capsys)
+        assert code == 0
+        rows[path] = out.splitlines()[1]
+    assert rows == {path: f"{path},,3,2,0.666667,0.777778,0.333333" for path in rows}
 
 
 def test_features_manifest_line_count(trained, tmp_path, capsys):

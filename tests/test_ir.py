@@ -123,10 +123,6 @@ def test_golden_structure():
     assert call.sources == (Register("one", "main"), Register("q", "main"))
     assert ret.sources == (Register("one", "main"),)
 
-    assert unit.args == frozenset({Register("argc", "main")})
-    # branch targets are never defined, so they surface as externals
-    assert unit.externals == frozenset({Register("then", "main"), Register("done", "main")})
-
 
 def test_trace_allows_redefinition():
     text = "\n".join([
@@ -138,7 +134,6 @@ def test_trace_allows_redefinition():
     unit = parse_trace(text, "t")
     assert len(unit.instructions) == 4
     assert unit.instructions[0].dest == unit.instructions[2].dest == Register("a")
-    assert unit.externals == frozenset({Register("x"), Register("y")})
 
 
 def test_skipped_preamble_lines():
@@ -282,18 +277,3 @@ def test_arbitrary_text_raises_only_malgraph_errors(parts):
     except MalgraphError:
         return
     assert unit.instructions  # an empty parse raises EmptyUnit
-
-
-@given(st.lists(_line(), min_size=1, max_size=15))
-@settings(max_examples=100)
-def test_externals_are_exactly_undefined_uses(lines):
-    unit = parse_trace("\n".join(lines), "prop")
-    defined = set()
-    undefined_uses = set()
-    for inst in unit.instructions:
-        for s in inst.sources:
-            if s not in defined:
-                undefined_uses.add(s)
-        if inst.dest is not None:
-            defined.add(inst.dest)
-    assert unit.externals == frozenset(undefined_uses)

@@ -424,7 +424,8 @@ def test_vocab_scope_guards_leakage(tmp_path):
     r_train = train(manifest, cfg, vocab_scope="train")
     r_all = train(manifest, cfg, vocab_scope="all")
 
-    in_train_split = any(e.path == "m0.trace" for e in r_train.train_manifest.entries)
+    train_m, _ = split(manifest, cfg.split_fraction, cfg.seed)
+    in_train_split = any(e.path == "m0.trace" for e in train_m.entries)
     assert ("xor" in r_train.vocab.names) == in_train_split
     assert "xor" in r_all.vocab.names
     if not in_train_split:
