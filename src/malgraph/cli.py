@@ -14,6 +14,7 @@ import argparse
 import contextlib
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -52,6 +53,16 @@ def _at_least(k: int):
             raise argparse.ArgumentTypeError(f"must be >= {k}, got {n}")
         return n
     return integer
+
+
+def _between(lo: float, hi: float):
+    """An argparse ``type=`` for a float strictly between `lo` and `hi`."""
+    def number(text: str) -> float:
+        x = float(text)
+        if not lo < x < hi:  # also false for nan
+            raise argparse.ArgumentTypeError(f"must be in ({lo:g}, {hi:g}), got {text}")
+        return x
+    return number
 
 
 def _input_files(paths) -> list[Path]:
@@ -105,9 +116,6 @@ def cmd_corpus(args) -> int:
 
 
 def cmd_train(args) -> int:
-    if not 0.0 < args.split < 1.0:
-        print("error: --split must be in (0, 1)", file=sys.stderr)
-        return 2
     manifest = load_manifest(args.manifest)
     arch = ArchConfig(
         vocab_size=1,  # resized to the training vocabulary
@@ -240,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="model.json", help="model output path")
     p.add_argument("--epochs", type=_at_least(1), default=30)
     p.add_argument("--batch-size", type=_at_least(1), default=32)
-    p.add_argument("--lr", type=float, default=1e-3)
+    p.add_argument("--lr", type=_between(0, math.inf), default=1e-3)
     p.add_argument("--seed", type=_at_least(0), default=0)
     p.add_argument("--layers", type=int, choices=(4, 6, 8, 10), default=6)
     p.add_argument("--hidden", type=_at_least(1), default=128,
@@ -249,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="feed raw one-hot features to the first layer")
     p.add_argument("--activation", choices=sorted(_ACTIVATION_FLAGS),
                    default="leaky-relu")
-    p.add_argument("--split", type=float, default=0.8,
+    p.add_argument("--split", type=_between(0, 1), default=0.8,
                    help="train fraction of the stratified split")
     p.add_argument("--vocab-scope", choices=("train", "all"), default="train")
     p.add_argument("--history", default=None, help="per-epoch metrics CSV path")

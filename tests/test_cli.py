@@ -337,6 +337,15 @@ def test_train_rejects_bad_split(trained, tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("lr", ["0", "-1", "nan", "inf"])
+def test_train_rejects_lr_that_is_not_finite_and_positive(trained, tmp_path, capsys, lr):
+    code, out, err = run(["train", "--manifest", trained / "c" / "manifest.jsonl",
+                          "--out", tmp_path / "m.json", "--lr", lr], capsys)
+    assert code == 2 and out == ""
+    assert "--lr" in err and "Traceback" not in err
+    assert not (tmp_path / "m.json").exists()
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_train_divergence_names_epoch_and_step(trained, tmp_path, capsys):
     with warnings.catch_warnings(record=True) as caught:

@@ -44,7 +44,7 @@ VOID_CALL = Instruction("call", None, (Register("x"),))
                  id="<1 x <1 x ...>>"),
 ])
 def test_parse_type_token(token, expected):
-    """A type token is checked for shape only; `void` alone makes a call valueless."""
+    """Any type token is opaque; `void` alone makes a call valueless."""
     dest, other = ("%r = ", "") if expected.dest else ("", "%r = ")
     (inst,) = parse_trace(f"{dest}call {token} @f({token} %x)", "t").instructions
     assert inst == expected
@@ -53,13 +53,14 @@ def test_parse_type_token(token, expected):
 
 
 def test_type_tokens_past_the_length_bound_are_opaque():
-    """No type token is too long: tokens of any length type an operand."""
+    """No type token is too long; a named type's %-token counts as a source."""
     store = Instruction("store", None, (Register("v"), Register("p")))
-    for token in ["i" + "0" * 254 + "64",
-                  "<02 x i" + "0" * 250 + "8>",
-                  "%struct." + "x" * 1000 + "*"]:
+    for token in ["i" + "0" * 254 + "64", "<02 x i" + "0" * 250 + "8>"]:
         (inst,) = parse_trace(f"store {token} %v, ptr %p", "t").instructions
         assert inst == store
+    named = "struct." + "x" * 1000
+    (inst,) = parse_trace(f"store %{named}* %v, ptr %p", "t").instructions
+    assert inst == Instruction("store", None, (Register(named),) + store.sources)
 
 
 def test_type_tokens_and_registers_are_shared():
@@ -136,6 +137,14 @@ def test_trace_allows_redefinition():
     assert unit.instructions[0].dest == unit.instructions[2].dest == Register("a")
 
 
+def test_call_with_a_function_type():
+    """The return token before a function type decides the destination."""
+    (inst,) = parse_trace("call void (i8*, ...) @f(i8* %a)", "t").instructions
+    assert inst == Instruction("call", None, (Register("a"),))
+    (inst,) = parse_trace("%x = call i32 (i8*, ...) @f(i8* %a)", "t").instructions
+    assert inst == Instruction("call", Register("x"), (Register("a"),))
+
+
 def test_skipped_preamble_lines():
     text = """\
 ; ModuleID = 'demo'
@@ -144,6 +153,8 @@ target datalayout = "e-m:e"
 declare i32 @puts(i8*)
 @.str = constant [4 x i8] c"hey\\00"
 !0 = !{i32 1}
+%struct.S = type { i32, i32 }
+%T = type opaque
 %x = add i32 %a, %b
 """
     unit = parse_trace(text, "t")
@@ -160,6 +171,7 @@ declare i32 @puts(i8*)
     ("%x = call void @f()", "void"),
     ("call i32 @f()", "destination"),
     ("%a = br label %next", "br"),
+    ("%x = call void (i8*, ...) @f(i8* %a)", "void"),
 ])
 def test_malformed_lines(line, fragment):
     with pytest.raises(MalformedLine) as exc:
@@ -183,7 +195,7 @@ def test_unknown_opcode_keeps_registers():
 
 
 def test_llvm_style_zext_falls_back():
-    # the canonical form is 'zext i64 %a'; the 'to' form degrades gracefully
+    # the trailing 'to <ty>' of LLVM's form holds no register
     unit = parse_trace("%d = zext i32 %a to i64", "t")
     (inst,) = unit.instructions
     assert inst.opcode == "zext"
@@ -211,6 +223,7 @@ def test_branch_forms():
 _name = st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789", min_size=1, max_size=3)
 _tyname = st.sampled_from(["i1", "i8", "i16", "i32", "i64", "float", "double"])
 _binop = st.sampled_from(sorted(ir.BINARY_OPCODES - {"icmp", "fcmp"}))
+_ICMP_PREDICATES = ["eq", "ne", "ugt", "uge", "ult", "ule", "sgt", "sge", "slt", "sle"]
 
 
 @st.composite
@@ -224,7 +237,7 @@ def _line(draw):
         srcs = ", ".join(f"%{draw(_name)}" for _ in range(n))
         return f"%{d} = {draw(_binop)} {ty} %{a}" + ("" if n == 0 else f", {srcs}")
     if kind == 1:
-        pred = draw(st.sampled_from(sorted(ir.ICMP_PREDICATES)))
+        pred = draw(st.sampled_from(_ICMP_PREDICATES))
         return f"%{d} = icmp {pred} {ty} %{a}, %{b}"
     if kind == 2:
         addr = draw(st.integers(0, 2**16))
@@ -254,11 +267,28 @@ def test_indices_are_dense(lines):
     assert [i.opcode for i in unit.instructions] == [_opcode_of(line) for line in lines]
 
 
-@given(st.lists(_name, min_size=1, max_size=6, unique=True), _name)
-def test_fallback_accounts_for_every_register(tokens, dest):
-    line = f"%{dest} = weird.op " + ", ".join(f"%{t}" for t in tokens)
+_VALUE_OPCODES = sorted(ir.BINARY_OPCODES | {"load", "getelementptr", "alloca"})
+_OPCODES = _VALUE_OPCODES + sorted(ir.VALUELESS_OPCODES) + ["call", "weird.op", "frobnicate"]
+_NOT_REGISTERS = st.sampled_from(["i32", "ptr", "i8*", "<4 x i64>", "label", "void",
+                                  "@g", "[", "]", "0", "to", "eq", "{ i32 }"])
+
+
+@given(st.sampled_from(_OPCODES),
+       st.lists(st.one_of(_name.map(lambda n: "%" + n), _NOT_REGISTERS), max_size=8),
+       st.booleans())
+def test_sources_are_every_register_right_of_the_opcode(opcode, operands, valued):
+    """Every opcode: the sources are the %-tokens right of it, in order."""
+    if opcode in ir.VALUELESS_OPCODES:
+        valued = False
+    elif opcode in _VALUE_OPCODES:
+        valued = True
+    rest = ", ".join(operands)
+    if opcode == "call":
+        rest = f"{'i32' if valued else 'void'} @f({rest})"
+    line = ("%d = " if valued else "") + f"{opcode} {rest}"
     (inst,) = parse_trace(line, "prop").instructions
-    assert [r.name for r in inst.sources] == tokens
+    assert [r.name for r in inst.sources] == [t[1:] for t in operands if t.startswith("%")]
+    assert (inst.opcode, inst.dest) == (opcode, Register("d") if valued else None)
 
 
 _FRAGMENTS = ["%a", "%b", " = ", ", ", "add", "icmp", "slt", "load", "store",
