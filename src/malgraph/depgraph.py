@@ -75,39 +75,50 @@ def _edge_columns(keys: np.ndarray, n: int):
     return edge_index, kind
 
 
+def _resolve(def_keys: np.ndarray, use_keys: np.ndarray, n: int, kind: int) -> np.ndarray:
+    """Edge keys (j*n + i)*3 + kind, from each use key r*n + i to its definition.
+
+    The definition is the largest key r*n + j below the use key with the same
+    r: the most recent j < i.  A use with none gives no edge.
+    """
+    defs = np.sort(np.append(def_keys, -1))  # -1 shares no r, and is below every use
+    found = defs[np.searchsorted(defs, use_keys) - 1]
+    hit = found // n == use_keys // n
+    return (found[hit] % n * n + use_keys[hit] % n) * 3 + kind
+
+
 def build_graph(unit: TraceUnit, *, control_edges: bool = False,
                 memory_edges: bool = False) -> DepGraph:
-    """Construct the dependency graph of a parsed unit.
+    """Construct the dependency graph of a parsed unit, one sorted search per edge kind.
 
-    Sources are resolved before the instruction's own destination is recorded,
-    so a redefinition like `%a = add i32 %a, %b` depends on the previous `%a`
-    and data edges always point strictly forward in trace order.
+    A data edge links each use of register r by instruction i to the most
+    recent definition of r strictly before i: the largest definition key
+    r*n + j below the use key r*n + i (see `_resolve`).  So a redefinition like
+    `%a = add i32 %a, %b` depends on the previous `%a`, and data edges always
+    point strictly forward in trace order.  Memory edges resolve each load's
+    address the same way against the stores, with address ids in place of
+    register ids; control edges join each `br`/`ret` to the next instruction.
     """
-    insts = unit.instructions
-    n = len(insts)
-    keys = []
-    last_def = {}
-    last_store = {}
-    for i, inst in enumerate(insts):
-        for src in inst.sources:
-            p = last_def.get(src)
-            if p is not None:
-                keys.append((p * n + i) * 3 + DATA)
-        if memory_edges and inst.opcode == "load" and inst.mem_addr is not None:
-            p = last_store.get(inst.mem_addr)
-            if p is not None:
-                keys.append((p * n + i) * 3 + MEMORY)
-        if control_edges and inst.opcode in ("br", "ret") and i + 1 < n:
-            keys.append((i * n + i + 1) * 3 + CONTROL)
-        if inst.dest is not None:
-            last_def[inst.dest] = i
-        if memory_edges and inst.opcode == "store" and inst.mem_addr is not None:
-            last_store[inst.mem_addr] = i
+    n = len(unit.opcodes)
+    at = np.arange(n)
+    defines = unit.dest >= 0
+    parts = [_resolve(unit.dest[defines] * n + at[defines],
+                      unit.src * n + np.repeat(at, np.diff(unit.src_ptr)), n, DATA)]
+    if memory_edges and unit.mem_addr:
+        addr_ids = {}  # addresses are ints of any size
+        keys = np.array([addr_ids.setdefault(a, len(addr_ids)) for a in unit.mem_addr.values()],
+                        dtype=np.int64) * n + np.fromiter(unit.mem_addr, np.int64)
+        store = np.array([unit.opcodes[i] == "store" for i in unit.mem_addr])
+        parts.append(_resolve(keys[store], keys[~store], n, MEMORY))
+    if control_edges:
+        branch = np.array([i for i, op in enumerate(unit.opcodes[:-1]) if op in ("br", "ret")],
+                          dtype=np.int64)
+        parts.append((branch * n + branch + 1) * 3 + CONTROL)
 
     # one sort drops repeated edges
-    edge_index, edge_kind = _edge_columns(np.unique(np.array(keys, dtype=np.int64)), n)
-    return DepGraph(ops=tuple(inst.opcode for inst in insts), edge_index=edge_index,
-                    edge_kind=edge_kind, origin=unit.origin)
+    edge_index, edge_kind = _edge_columns(np.unique(np.concatenate(parts)), n)
+    return DepGraph(ops=unit.opcodes, edge_index=edge_index, edge_kind=edge_kind,
+                    origin=unit.origin)
 
 
 # --- interchange format -----------------------------------------------------

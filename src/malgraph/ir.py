@@ -1,10 +1,12 @@
-"""Textual IR and instruction-trace parsing.
+"""Textual IR and instruction-trace parsing, into columns.
 
 Reads SSA-style text, one instruction per line, in two flavours: static
 ``.ll``-like files with ``define``/block structure, and flat dynamic trace
 files where the same register name may be redefined.  After comment stripping
 each instruction line has the form ``[%D =] <opcode> <operands>``, with an
-optional trailing ``; addr=0x<hex>`` that load and store keep.
+optional trailing ``; addr=0x<hex>`` that load and store keep.  The opcode is
+read lower-case, and a ``tail``, ``musttail`` or ``notail`` before ``call``
+is dropped, so those lines are calls.
 
 One rule gives the sources: every ``%`` register token right of the opcode,
 in order.  Operands, branch labels and named types (``%struct.S``) all count;
@@ -17,14 +19,27 @@ before the first ``(`` or ``@``, is ``void``.
 ``define ... @name(...) {`` and ``}`` delimit a function, whose registers form
 their own scope.  Block labels, named-type definitions (``%T = type ...``)
 and preamble/metadata lines (``target``, ``declare``, ``@`` globals, ``!``
-metadata, ``attributes``, ``source_filename``) are skipped.  A parse hands
-out one shared ``Register`` per name and function scope.
+metadata, ``attributes``, ``source_filename``) are skipped.
+
+A parse gives columns, not records.  Each register name in each function
+scope gets one id, its index in ``TraceUnit.registers``.  Instruction ``i``
+has opcode ``opcodes[i]``, destination id ``dest[i]`` (-1 for none) and
+source ids ``src[src_ptr[i]:src_ptr[i + 1]]`` (CSR form); ``mem_addr`` maps
+the index of each load and store that carries an address to that address.
+``TraceUnit.instructions`` reads the columns as ``Instruction`` records,
+built when read, which share one ``Register`` per id.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
+from collections import defaultdict
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 from .errors import EmptyUnit, MalformedLine
 
@@ -56,17 +71,56 @@ class Instruction:
     mem_addr: int | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TraceUnit:
-    """A parsed file: its origin and its instruction sequence."""
+    """A parsed file: its origin and its instruction columns (see the module docs)."""
 
     origin: str
-    instructions: tuple[Instruction, ...]
+    opcodes: tuple[str, ...]
+    dest: np.ndarray
+    src_ptr: np.ndarray
+    src: np.ndarray
+    mem_addr: dict[int, int]
+    scopes: dict[str, dict[str, int]]  # function scope -> register name -> id
+
+    @cached_property
+    def registers(self) -> tuple[Register, ...]:
+        """One Register per id, built on first use."""
+        regs = [None] * sum(map(len, self.scopes.values()))
+        for scope, ids in self.scopes.items():
+            for name, i in ids.items():
+                regs[i] = Register(name, scope)
+        return tuple(regs)
+
+    @property
+    def instructions(self) -> Instructions:
+        return Instructions(self)
+
+
+class Instructions(Sequence):
+    """A unit's instructions as records, each built from the columns when read."""
+
+    def __init__(self, unit: TraceUnit):
+        self._unit = unit
+
+    def __len__(self) -> int:
+        return len(self._unit.opcodes)
+
+    def __getitem__(self, i: int) -> Instruction:
+        u = self._unit
+        i = range(len(u.opcodes))[i]  # negative indices count back; IndexError past the end
+        regs = u.registers
+        d = u.dest[i]
+        return Instruction(u.opcodes[i], regs[d] if d >= 0 else None,
+                           tuple(regs[r] for r in u.src[u.src_ptr[i]:u.src_ptr[i + 1]]),
+                           u.mem_addr.get(i))
 
 
 _REG_TOKEN = re.compile(r"%([\w.$-]+)")
+# One match per instruction line: destination, opcode, the rest.
+_LINE_RE = re.compile(r"(?:%([\w.$-]+)\s*=\s*)?(?i:(?:must|no)?tail\s+(?=call\b(?!\.)))?"
+                      r"([a-z][\w.]*)\b\s*(.*)")
 _DEST_RE = re.compile(r"^%([\w.$-]+)\s*=\s*(.*)$")
-_OPCODE_RE = re.compile(r"^([a-z][\w.]*)\b\s*(.*)$", re.DOTALL)
 _ADDR_ANNOT = re.compile(r";\s*addr=0x([0-9a-fA-F]+)\s*$")
 _DEFINE_RE = re.compile(r"^define\b.*?@([\w.$-]+)\s*\((.*?)\)")
 _LABEL_RE = re.compile(r"^([\w.$-]+):\s*$")
@@ -74,50 +128,17 @@ _LABEL_RE = re.compile(r"^([\w.$-]+):\s*$")
 _SKIP_PREFIXES = ("target ", "source_filename", "declare ", "attributes ", "@", "!")
 
 
-class _Registers(dict):
-    """The registers of one function scope: one shared Register per name."""
-
-    def __init__(self, scope: str):
-        super().__init__()
-        self.scope = scope
-
-    def __missing__(self, name: str) -> Register:
-        reg = self[name] = Register(name, self.scope)
-        return reg
-
-
-def _parse_instruction_line(code: str, line_no: int, regs: _Registers) -> tuple:
-    """Parse one instruction line into (opcode, dest_name, sources).
-
-    Raises MalformedLine for structural breakage and for a destination that
-    the opcode, or a call's return token, contradicts.
-    """
-    dest_name = None
-    rhs = code
-    if code.startswith("%"):
-        m = _DEST_RE.match(code)
+def _malformed(line: str, line_no: int) -> MalformedLine:
+    """The error for an instruction line that ``_LINE_RE`` does not match."""
+    rhs = line
+    if line.startswith("%"):
+        m = _DEST_RE.match(line)
         if not m:
-            raise MalformedLine(line_no, "register token without '='")
-        dest_name, rhs = m.group(1), m.group(2).strip()
+            return MalformedLine(line_no, "register token without '='")
+        rhs = m.group(2).strip()
         if not rhs:
-            raise MalformedLine(line_no, "empty right-hand side")
-
-    m = _OPCODE_RE.match(rhs)
-    if not m:
-        raise MalformedLine(line_no, f"expected an opcode, got {rhs!r}")
-    opcode, rest = m.group(1), m.group(2)
-
-    if opcode in VALUELESS_OPCODES and dest_name is not None:
-        raise MalformedLine(line_no, f"{opcode} cannot produce a value")
-    if opcode in _DEST_OPCODES and dest_name is None:
-        raise MalformedLine(line_no, f"{opcode} requires a destination")
-    if opcode == "call":
-        returns = rest.split("(", 1)[0].split("@", 1)[0].strip()
-        if returns == "void" and dest_name is not None:
-            raise MalformedLine(line_no, "call returning void cannot have a destination")
-        if returns and returns != "void" and "%" not in returns and dest_name is None:
-            raise MalformedLine(line_no, "non-void call requires a destination")
-    return opcode.lower(), dest_name, tuple(regs[t] for t in _REG_TOKEN.findall(rest))
+            return MalformedLine(line_no, "empty right-hand side")
+    return MalformedLine(line_no, f"expected an opcode, got {rhs!r}")
 
 
 def parse_trace(text: str, origin) -> TraceUnit:
@@ -125,45 +146,64 @@ def parse_trace(text: str, origin) -> TraceUnit:
 
     Redefinition of a register name is legal; each line stays a distinct
     instruction and later definitions shadow earlier ones when dependencies are
-    resolved downstream.
+    resolved downstream.  Raises MalformedLine for structural breakage and for
+    a destination that the opcode, or a call's return token, contradicts.
     """
-    instructions: list[Instruction] = []
-    function = ""
-    scopes = {function: _Registers(function)}
-    regs = scopes[function]
+    opcodes, dest, src, src_ptr, mem_addr = [], [], [], [0], {}
+    new_id = itertools.count().__next__
+    ids = defaultdict(new_id)  # register name -> id, in the current scope
+    scopes = {"": ids}
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        mem_addr = None
+        addr = None
         if ";" in raw:
             m = _ADDR_ANNOT.search(raw)
             if m:
-                mem_addr = int(m.group(1), 16)
+                addr = int(m.group(1), 16)
                 raw = raw[: m.start()]
             raw = raw.split(";", 1)[0]
         line = raw.strip()
         if not line:
             continue
 
-        if line == "}":
-            function = ""
-            regs = scopes.setdefault(function, _Registers(function))
-            continue
-        m = _DEFINE_RE.match(line)
-        if m:
-            function = m.group(1)
-            regs = scopes.setdefault(function, _Registers(function))
-            continue
-        if _LABEL_RE.match(line) or line.startswith(_SKIP_PREFIXES):
-            continue
+        if line[0] != "%":  # no structural line starts with %
+            m = _DEFINE_RE.match(line)
+            if m or line == "}":
+                ids = scopes.setdefault(m.group(1) if m else "", defaultdict(new_id))
+                continue
+            if _LABEL_RE.match(line) or line.startswith(_SKIP_PREFIXES):
+                continue
 
-        opcode, dest_name, sources = _parse_instruction_line(line, line_no, regs)
-        if opcode == "type" and dest_name is not None:
+        m = _LINE_RE.match(line)
+        if m is None:
+            raise _malformed(line, line_no)
+        dest_name, opcode, rest = m.groups()
+        opcode = opcode.lower()
+        if dest_name is None:
+            if opcode in _DEST_OPCODES:
+                raise MalformedLine(line_no, f"{opcode} requires a destination")
+        elif opcode in VALUELESS_OPCODES:
+            raise MalformedLine(line_no, f"{opcode} cannot produce a value")
+        elif opcode == "type":
             continue  # a named-type definition, %T = type {...}
-        dest = regs[dest_name] if dest_name is not None else None
-        if opcode not in ("load", "store"):
-            mem_addr = None
-        instructions.append(Instruction(opcode, dest, sources, mem_addr))
+        if opcode == "call":
+            returns = rest.split("(", 1)[0].split("@", 1)[0].strip()
+            if returns == "void" and dest_name is not None:
+                raise MalformedLine(line_no, "call returning void cannot have a destination")
+            if returns and returns != "void" and "%" not in returns and dest_name is None:
+                raise MalformedLine(line_no, "non-void call requires a destination")
 
-    if not instructions:
+        if addr is not None and opcode in ("load", "store"):
+            mem_addr[len(opcodes)] = addr
+        opcodes.append(opcode)
+        dest.append(-1 if dest_name is None else ids[dest_name])
+        src.extend(map(ids.__getitem__, _REG_TOKEN.findall(rest)))
+        src_ptr.append(len(src))
+
+    if not opcodes:
         raise EmptyUnit(f"no instructions found in {origin}")
-    return TraceUnit(str(origin), tuple(instructions))
+    columns = [np.array(c, dtype=np.int64) for c in (dest, src_ptr, src)]
+    for c in columns:
+        c.flags.writeable = False
+    return TraceUnit(str(origin), tuple(opcodes), *columns, mem_addr,
+                     {scope: dict(names) for scope, names in scopes.items()})

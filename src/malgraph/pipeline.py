@@ -200,16 +200,9 @@ def auroc(scores, labels) -> float:
     n = len(labels) - p
     if p == 0 or n == 0:
         raise SingleClass("AUROC needs both a positive and a negative sample")
-    order = np.argsort(scores, kind="mergesort")
-    ranks = np.empty(len(scores))
-    i = 0
-    while i < len(scores):
-        j = i
-        while j + 1 < len(scores) and scores[order[j + 1]] == scores[order[i]]:
-            j += 1
-        ranks[order[i:j + 1]] = (i + j + 2) / 2.0  # average of 1-based ranks
-        i = j + 1
-    u = ranks[pos].sum() - p * (p + 1) / 2.0
+    # a tie group at 0-based sorted positions i..j gets the average 1-based rank (i + j + 2)/2
+    _, group, size = np.unique(scores, return_inverse=True, return_counts=True)
+    u = (np.cumsum(size) - (size - 1) / 2.0)[group][pos].sum() - p * (p + 1) / 2.0
     return float(u / (p * n))
 
 

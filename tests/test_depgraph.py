@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from malgraph import depgraph
+from malgraph import depgraph, ir
 from malgraph.depgraph import (
     EDGE_KINDS,
     build_graph,
@@ -105,6 +105,29 @@ def test_memory_edges_most_recent_store():
     # without the flag, no memory edges at all
     g2 = build_graph(parse_trace(text, "t"))
     assert all(t[2] == "data" for t in edge_list(g2))
+
+
+def test_memory_edges_at_addresses_past_64_bits():
+    big = 2**64 + 0x10  # an int64 column would wrap it onto 0x10
+    text = "\n".join([
+        f"store i32 %a, i32* %p ; addr=0x{big:x}",  # 0
+        "store i32 %b, i32* %p ; addr=0x10",         # 1
+        f"%v = load i32, i32* %p ; addr=0x{big:x}",  # 2 reads store 0
+        f"%w = load i32, i32* %p ; addr=0x{2**200:x}",  # 3 no store there
+    ])
+    g = build_graph(parse_trace(text, "t"), memory_edges=True)
+    assert {t for t in edge_set(g) if t[2] == "memory"} == {(0, 2, "memory")}
+
+
+def test_one_name_in_two_scopes_makes_no_cross_scope_edge():
+    text = ("define i32 @f(i32 %a) {\n  %x = add i32 %a, %a\n  ret i32 %x\n}\n"
+            "define i32 @g(i32 %b) {\n  %y = add i32 %x, %b\n  %x = add i32 %b, %b\n"
+            "  ret i32 %x\n}\n")
+    unit = parse_trace(text, "t")
+    x = [unit.registers[d] for d in unit.dest if d >= 0 and unit.registers[d].name == "x"]
+    assert x == [ir.Register("x", "f"), ir.Register("x", "g")]
+    # %x in @g's first add names @g's later %x, not @f's
+    assert edge_list(build_graph(unit)) == [(0, 1, "data"), (3, 4, "data")]
 
 
 def test_control_edges():

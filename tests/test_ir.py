@@ -145,6 +145,45 @@ def test_call_with_a_function_type():
     assert inst == Instruction("call", Register("x"), (Register("a"),))
 
 
+@pytest.mark.parametrize("prefix", ["tail", "musttail", "notail"])
+def test_tail_call_prefixes_are_calls(prefix):
+    """A tail-call marker is dropped, so the line is a call with the call's checks."""
+    (inst,) = parse_trace(f"%t = {prefix} call i32 @f(i32 %v)", "t").instructions
+    assert inst == Instruction("call", Register("t"), (Register("v"),))
+    (inst,) = parse_trace(f"{prefix} call void @f(i32 %v)", "t").instructions
+    assert inst == Instruction("call", None, (Register("v"),))
+    with pytest.raises(MalformedLine, match="void"):
+        parse_trace(f"%t = {prefix} call void @f(i32 %v)", "t")
+    with pytest.raises(MalformedLine, match="destination"):
+        parse_trace(f"{prefix} call i32 @f(i32 %v)", "t")
+    # only before `call`: otherwise the word is the opcode
+    (inst,) = parse_trace(f"%t = {prefix} add i32 %v", "t").instructions
+    assert inst.opcode == prefix
+
+
+def test_columns_give_one_register_per_name_and_scope():
+    text = ("%x = add i32 %a, %a\n"
+            "define i32 @f(i32 %a) {\n  %x = add i32 %a, %x\n  ret i32 %x\n}\n"
+            "%y = add i32 %x, %a\n")
+    unit = parse_trace(text, "t")
+    assert len(unit.instructions) == 4
+    assert "registers" not in vars(unit)  # len() builds no records
+    assert sorted((r.name, r.scope) for r in unit.registers) == [
+        ("a", ""), ("a", "f"), ("x", ""), ("x", "f"), ("y", "")]
+    assert [unit.registers[d] if d >= 0 else None for d in unit.dest] == [
+        Register("x"), Register("x", "f"), None, Register("y")]
+    first, second = list(unit.instructions), list(unit.instructions)
+    assert first == second
+    # every read hands out the table's one Register per name and scope
+    for a, b in zip(first, second):
+        assert all(r is s for r, s in zip(a.sources, b.sources))
+    assert first[0].dest is second[3].sources[0] is unit.registers[unit.dest[0]]
+    assert first[1].sources[1] is first[2].sources[0] is first[1].dest
+    assert unit.instructions[-1] == first[3]
+    with pytest.raises(IndexError):
+        unit.instructions[4]
+
+
 def test_skipped_preamble_lines():
     text = """\
 ; ModuleID = 'demo'
@@ -172,6 +211,10 @@ declare i32 @puts(i8*)
     ("call i32 @f()", "destination"),
     ("%a = br label %next", "br"),
     ("%x = call void (i8*, ...) @f(i8* %a)", "void"),
+    ("%a = sTore i32 %b, i32* %c", "store"),
+    ("lOad i32, i32* %p", "destination"),
+    ("%t = tail call void @f(i32 %v)", "void"),
+    ("tail call i32 @f(i32 %v)", "destination"),
 ])
 def test_malformed_lines(line, fragment):
     with pytest.raises(MalformedLine) as exc:
