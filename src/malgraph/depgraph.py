@@ -8,15 +8,16 @@ annotation → later load) and control edges (branch/ret → next instruction in
 trace order).  Edges carry their kind and no weight: the model's mean
 aggregator (Hamilton et al. 2017) reads neighbours unweighted.
 
-The JSON interchange format written here is version 2::
+The JSON interchange format written here is version 3: one line that holds the
+graph in columns, as the program does, so the reader checks whole columns::
 
-    {"version":2,"origin":"...","label":0|1|null,"family":"..."|null,
-     "nodes":[{"id":0,"op":"add"},...],"edges":[{"src":0,"dst":1,"kind":"data"},...]}
+    {"version":3,"origin":"...","label":0|1|null,"family":"..."|null,
+     "ops":["add",...],"src":[0,...],"dst":[1,...],"kind":["data",...]}
 
-It is canonical: node order is id order, edges are sorted by (src, dst, kind),
-and serialization is key-order and whitespace stable, so equal graphs produce
-identical bytes.  The reader also takes version 1, whose nodes carried a
-``type`` and edges a byte-size ``w``; like any other extra key, those are not
+It is canonical (edges sorted by (src, dst, kind), fixed key order and
+separators): equal graphs give identical bytes.  Versions 1 and 2, which list
+node objects ``{"id","op"}`` in id order and edge objects ``{"src","dst","kind"}``,
+are read by first turning those lists into the same columns; extra keys are not
 read.
 """
 
@@ -41,6 +42,7 @@ from .ir import TraceUnit
 # In name order, so sorting by kind index sorts by kind name.
 EDGE_KINDS = ("control", "data", "memory")
 CONTROL, DATA, MEMORY = range(3)
+_KIND_INDEX = {name: k for k, name in enumerate(EDGE_KINDS)}
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,20 +125,16 @@ def build_graph(unit: TraceUnit, *, control_edges: bool = False,
 
 # --- interchange format -----------------------------------------------------
 
-def to_json(g: DepGraph) -> bytes:
-    """Canonical serialization; equal graphs give identical bytes.
+_COLUMNS = {"ops": str, "src": int, "dst": int, "kind": str}  # and their element types
 
-    The text is json.dumps of the document with separators (",", ":"),
-    written directly: ops and the head fields go through json.dumps (each
-    distinct op once), while kinds and ints need no escaping.
-    """
-    op_text = {op: json.dumps(op) for op in set(g.ops)}
-    nodes = ",".join(f'{{"id":{i},"op":{op_text[op]}}}' for i, op in enumerate(g.ops))
-    edges = ",".join(f'{{"src":{s},"dst":{d},"kind":"{EDGE_KINDS[k]}"}}'
-                     for s, d, k in zip(*g.edge_index.tolist(), g.edge_kind.tolist()))
-    return (f'{{"version":2,"origin":{json.dumps(g.origin)},"label":{json.dumps(g.label)},'
-            f'"family":{json.dumps(g.family)},"nodes":[{nodes}],"edges":[{edges}]}}'
-            ).encode("utf-8")
+
+def to_json(g: DepGraph) -> bytes:
+    """Canonical serialization; equal graphs give identical bytes."""
+    src, dst = g.edge_index.tolist()
+    return json.dumps({"version": 3, "origin": g.origin, "label": g.label, "family": g.family,
+                       "ops": g.ops, "src": src, "dst": dst,
+                       "kind": [EDGE_KINDS[k] for k in g.edge_kind.tolist()]},
+                      separators=(",", ":")).encode("utf-8")
 
 
 def _require(cond: bool, detail: str):
@@ -145,16 +143,16 @@ def _require(cond: bool, detail: str):
 
 
 def from_json(data) -> DepGraph:
-    """Parse and validate a graph document (bytes or str) of version 1 or 2."""
+    """Parse and validate a graph document (bytes or str) of version 1, 2 or 3."""
     try:
         obj = json.loads(data)
     except (ValueError, RecursionError) as e:  # ValueError covers decode and int-size errors
         raise GraphFormatError(f"not valid JSON: {e}") from None
     _require(isinstance(obj, dict), "top level must be an object")
     version = obj.get("version")
-    if type(version) is not int or version not in (1, 2):  # not true, not 2.0
+    if type(version) is not int or version not in (1, 2, 3):  # not true, not 2.0
         raise VersionMismatch(f"unsupported graph version {version!r}")
-    for key in ("origin", "label", "family", "nodes", "edges"):
+    for key in ("origin", "label", "family", *(_COLUMNS if version == 3 else ("nodes", "edges"))):
         _require(key in obj, f"missing field {key!r}")
 
     origin = obj["origin"]
@@ -164,37 +162,39 @@ def from_json(data) -> DepGraph:
              "label must be 0, 1 or null")
     family = obj["family"]
     _require(family is None or isinstance(family, str), "family must be a string or null")
-    _require(isinstance(obj["nodes"], list), "nodes must be an array")
-    _require(isinstance(obj["edges"], list), "edges must be an array")
-    if not obj["nodes"]:
+    cols = obj if version == 3 else {}
+    if version < 3:  # node and edge objects become the same columns
+        for items, keys in (("nodes", ("id", "op")), ("edges", ("src", "dst", "kind"))):
+            _require(isinstance(obj[items], list), f"{items} must be an array")
+            try:
+                cols.update({key: [item[key] for item in obj[items]] for key in keys})
+            except (TypeError, KeyError):  # an item that is not an object, or lacks a key
+                raise GraphFormatError(f"{items} must be objects with {', '.join(keys)}") from None
+        ids, cols["ops"] = cols["id"], cols["op"]
+        _require(set(map(type, ids)) <= {int} and ids == list(range(len(ids))),
+                 "node ids must be 0..n-1 in order")
+    for key, kind in _COLUMNS.items():  # exact element types, so true and 1.0 fail
+        _require(isinstance(cols[key], list) and set(map(type, cols[key])) <= {kind},
+                 f"{key} must be an array of {'integers' if kind is int else 'strings'}")
+    ops, src, dst, kind = (cols[key] for key in _COLUMNS)
+    if not ops:
         raise EmptyGraph(f"graph {origin!r} has no nodes")
+    _require(len(src) == len(dst) == len(kind), "src, dst and kind must have equal lengths")
 
-    # messages naming an item are formatted only when its check fails
-    nodes = []
-    for item in obj["nodes"]:
-        if not (isinstance(item, dict) and type(item.get("id")) is int
-                and isinstance(item.get("op"), str)):
-            raise GraphFormatError(f"bad node entry: {item!r}")
-        nodes.append((item["id"], item["op"]))
-    ids, ops = zip(*sorted(nodes, key=lambda node: node[0]))
-    _require(list(ids) == list(range(len(nodes))), "node ids must be dense 0..n-1")
-
-    n = len(nodes)
-    keys = set()  # (src*n + dst)*3 + kind
-    for item in obj["edges"]:
-        if not (isinstance(item, dict) and type(item.get("src")) is int
-                and type(item.get("dst")) is int and item.get("kind") in EDGE_KINDS):
-            raise GraphFormatError(f"bad edge entry: {item!r}")
-        src, dst = item["src"], item["dst"]
-        if not (0 <= src < n and 0 <= dst < n):
-            raise GraphFormatError(f"edge endpoint out of range: {item!r}")
-        key = (src * n + dst) * 3 + EDGE_KINDS.index(item["kind"])
-        if key in keys:
-            raise GraphFormatError(f"duplicate edge {(src, dst, item['kind'])!r}")
-        keys.add(key)
-
-    edge_index, edge_kind = _edge_columns(np.array(sorted(keys), dtype=np.int64), n)
-    return DepGraph(ops=ops, edge_index=edge_index, edge_kind=edge_kind,
+    n = len(ops)
+    if src and not (0 <= min(src) and 0 <= min(dst) and max(src) < n and max(dst) < n):
+        i = next(i for i, (s, d) in enumerate(zip(src, dst)) if not (0 <= s < n and 0 <= d < n))
+        raise GraphFormatError(f"edge endpoint out of range: {(src[i], dst[i], kind[i])!r}")
+    _require(set(kind) <= _KIND_INDEX.keys(), "kind must hold only control, data or memory")
+    kinds = np.fromiter(map(_KIND_INDEX.__getitem__, kind), np.int64, len(kind))
+    # endpoints are in range now, so each fits in int64
+    keys = np.sort((np.array(src, np.int64) * n + np.array(dst, np.int64)) * 3 + kinds)
+    same = np.flatnonzero(keys[1:] == keys[:-1])
+    if same.size:
+        pair, k = divmod(int(keys[same[0]]), 3)
+        raise GraphFormatError(f"duplicate edge {(*divmod(pair, n), EDGE_KINDS[k])!r}")
+    edge_index, edge_kind = _edge_columns(keys, n)
+    return DepGraph(ops=tuple(ops), edge_index=edge_index, edge_kind=edge_kind,
                     label=label, family=family, origin=origin)
 
 

@@ -125,7 +125,7 @@ _ADDR_ANNOT = re.compile(r";\s*addr=0x([0-9a-fA-F]+)\s*$")
 _DEFINE_RE = re.compile(r"^define\b.*?@([\w.$-]+)\s*\((.*?)\)")
 _LABEL_RE = re.compile(r"^([\w.$-]+):\s*$")
 
-_SKIP_PREFIXES = ("target ", "source_filename", "declare ", "attributes ", "@", "!")
+_SKIP_PREFIXES = ("target ", "source_filename", "declare ", "attributes ", "@", "!", "$")
 
 
 def _malformed(line: str, line_no: int) -> MalformedLine:

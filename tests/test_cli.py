@@ -203,8 +203,7 @@ def test_compile_oversize_type_token_is_opaque(tmp_path, capsys, token, as_json)
         src.write_text(f"%p = alloca i8\n%v = load {token}, i8* %p\n")
     code, _, err = run(["compile", src, "--out", tmp_path / "out"], capsys)
     assert code == 0 and err == ""
-    nodes = json.loads((tmp_path / "out" / "t.json").read_text())["nodes"]
-    assert nodes[-1] == {"id": len(nodes) - 1, "op": "load"}
+    assert json.loads((tmp_path / "out" / "t.json").read_text())["ops"][-1] == "load"
 
 
 def test_compile_upgrades_a_version_1_document(tmp_path, capsys):
@@ -216,13 +215,20 @@ def test_compile_upgrades_a_version_1_document(tmp_path, capsys):
                   {"id": 2, "op": "br", "type": "void"}],
         "edges": [{"src": 1, "dst": 2, "w": 1, "kind": "control"},
                   {"src": 0, "dst": 1, "w": 8, "kind": "data"}]}))
-    v2 = (b'{"version":2,"origin":"g","label":1,"family":"worm",'
-          b'"nodes":[{"id":0,"op":"load"},{"id":1,"op":"add"},{"id":2,"op":"br"}],'
-          b'"edges":[{"src":0,"dst":1,"kind":"data"},{"src":1,"dst":2,"kind":"control"}]}')
-    assert to_json(from_json(v1.read_bytes())) == to_json(from_json(v2)) == v2
-    code, _, err = run(["compile", v1, "--out", tmp_path / "out"], capsys)
-    assert code == 0 and err == ""
-    assert (tmp_path / "out" / "g.json").read_bytes() == v2
+    v2 = tmp_path / "v2" / "g.json"
+    v2.parent.mkdir()
+    v2.write_bytes(
+        b'{"version":2,"origin":"g","label":1,"family":"worm",'
+        b'"nodes":[{"id":0,"op":"load"},{"id":1,"op":"add"},{"id":2,"op":"br"}],'
+        b'"edges":[{"src":0,"dst":1,"kind":"data"},{"src":1,"dst":2,"kind":"control"}]}')
+    v3 = (b'{"version":3,"origin":"g","label":1,"family":"worm","ops":["load","add","br"],'
+          b'"src":[0,1],"dst":[1,2],"kind":["data","control"]}')
+    for old in (v1, v2):
+        assert to_json(from_json(old.read_bytes())) == v3
+        out = tmp_path / f"out-{old.parent.name}"
+        code, _, err = run(["compile", old, "--out", out], capsys)
+        assert code == 0 and err == ""
+        assert (out / "g.json").read_bytes() == v3
 
 
 def test_compile_ignores_type_tokens(tmp_path, capsys, monkeypatch):
@@ -246,9 +252,9 @@ def test_compile_ignores_type_tokens(tmp_path, capsys, monkeypatch):
 # name order.  Generation and compilation are pure Python and each graph's
 # origin is the relative input path, so the digest holds on every machine.
 COMPILE_GOLDEN = {
-    (): "261106c10f5e570ed3b4442a020bff6394c44d68fd02595798c859c52f51164a",
+    (): "97a251d8d80d3ecdd746b0d899560a580743d5aa9a91ee9648ed9edddf92630e",
     ("--control-edges", "--mem-deps"):
-        "a718ac5ff4a6c7a97fb17403194e0241174ba81d0d0c9a160187c8ded16498dd",
+        "ca5c5d3661b1c88ca92aaf9d9b602b3b29cc7862d822db6012f89bdc517e7b60",
 }
 
 

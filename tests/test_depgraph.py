@@ -227,11 +227,14 @@ def _labeled(text, label=1, family="worm"):
 
 def test_json_golden_bytes():
     g = _labeled("%3 = sub i32 %1, %2\n%5 = sub i32 %3, %4")
-    assert to_json(g) == (
+    golden = (b'{"version":3,"origin":"t","label":1,"family":"worm",'
+              b'"ops":["sub","sub"],"src":[0],"dst":[1],"kind":["data"]}')
+    assert to_json(g) == golden
+    # the same graph as version 2 wrote it reads back to the same bytes
+    assert to_json(from_json(
         b'{"version":2,"origin":"t","label":1,"family":"worm",'
         b'"nodes":[{"id":0,"op":"sub"},{"id":1,"op":"sub"}],'
-        b'"edges":[{"src":0,"dst":1,"kind":"data"}]}'
-    )
+        b'"edges":[{"src":0,"dst":1,"kind":"data"}]}')) == golden
 
 
 def test_json_roundtrip_and_canonical():
@@ -256,36 +259,83 @@ def _exactly(message):
 
 def test_json_rejections():
     ok = to_json(_labeled("%3 = sub i32 %1, %2\n%5 = sub i32 %3, %4"))
-    with pytest.raises(VersionMismatch, match=_exactly("unsupported graph version 3")):
-        from_json(ok.replace(b'"version":2', b'"version":3'))
+    with pytest.raises(VersionMismatch, match=_exactly("unsupported graph version 4")):
+        from_json(ok.replace(b'"version":3', b'"version":4'))
     with pytest.raises(GraphFormatError, match=_exactly(
             "not valid JSON: Expecting value: line 1 column 1 (char 0)")):
         from_json(b"not json at all")
     with pytest.raises(GraphFormatError, match=_exactly("missing field 'origin'")):
         from_json(b'{"version":1}')
+    with pytest.raises(GraphFormatError, match=_exactly("missing field 'kind'")):
+        from_json(ok.replace(b',"kind":["data"]', b''))
     with pytest.raises(GraphFormatError, match=_exactly("label must be 0, 1 or null")):
         from_json(ok.replace(b'"label":1', b'"label":true'))
     with pytest.raises(GraphFormatError, match=_exactly("label must be 0, 1 or null")):
         from_json(ok.replace(b'"label":1', b'"label":3'))
     with pytest.raises(GraphFormatError, match=_exactly(
-            "edge endpoint out of range: {'src': 0, 'dst': 9, 'kind': 'data'}")):
-        from_json(ok.replace(b'"dst":1', b'"dst":9'))
+            "edge endpoint out of range: (0, 9, 'data')")):
+        from_json(ok.replace(b'"dst":[1]', b'"dst":[9]'))
     with pytest.raises(GraphFormatError, match=_exactly("duplicate edge (0, 1, 'data')")):
-        from_json(ok.replace(
-            b'"edges":[{"src":0,"dst":1,"kind":"data"}]',
-            b'"edges":[{"src":0,"dst":1,"kind":"data"},{"src":0,"dst":1,"kind":"data"}]'))
-    with pytest.raises(GraphFormatError, match=_exactly("node ids must be dense 0..n-1")):
-        from_json(ok.replace(b'"id":1', b'"id":5'))
+        from_json(ok.replace(b'"src":[0],"dst":[1],"kind":["data"]',
+                             b'"src":[0,0],"dst":[1,1],"kind":["data","data"]'))
+    with pytest.raises(GraphFormatError, match=_exactly("node ids must be 0..n-1 in order")):
+        from_json(b'{"version":2,"origin":"x","label":null,"family":null,'
+                  b'"nodes":[{"id":0,"op":"add"},{"id":5,"op":"add"}],"edges":[]}')
     with pytest.raises(EmptyGraph, match=_exactly("graph 'x' has no nodes")):
         from_json(b'{"version":1,"origin":"x","label":null,"family":null,"nodes":[],"edges":[]}')
+    with pytest.raises(EmptyGraph, match=_exactly("graph 't' has no nodes")):
+        from_json(ok.replace(b'"ops":["sub","sub"]', b'"ops":[]'))
+
+
+_V2_HEAD = b'{"version":2,"origin":"x","label":null,"family":null,'
+
+
+@pytest.mark.parametrize("old,new,message", [
+    (b'"src":[0]', b'"src":[18446744073709551616]',
+     "edge endpoint out of range: (18446744073709551616, 1, 'data')"),
+    (b'"src":[0]', b'"src":[-1]', "edge endpoint out of range: (-1, 1, 'data')"),
+    (b'"dst":[1]', b'"dst":[true]', "dst must be an array of integers"),
+    (b'"src":[0]', b'"src":[0.0]', "src must be an array of integers"),
+    (b'"src":[0]', b'"src":null', "src must be an array of integers"),
+    (b'"dst":[1]', b'"dst":[1,0]', "src, dst and kind must have equal lengths"),
+    (b'"kind":["data"]', b'"kind":["ctrl"]', "kind must hold only control, data or memory"),
+    (b'"ops":["sub","sub"]', b'"ops":[1]', "ops must be an array of strings"),
+], ids=["src_past_uint64", "src_negative", "dst_true", "src_float", "src_null",
+        "unequal_lengths", "unknown_kind", "op_integer"])
+def test_json_column_rejections(old, new, message):
+    ok = to_json(_labeled("%3 = sub i32 %1, %2\n%5 = sub i32 %3, %4"))
+    assert old in ok
+    with pytest.raises(GraphFormatError, match=_exactly(message)):
+        from_json(ok.replace(old, new))
+
+
+@pytest.mark.parametrize("body,message", [
+    # True == 1, so a plain comparison with range(n) would let this through
+    (b'"nodes":[{"id":0,"op":"a"},{"id":true,"op":"b"}],"edges":[]}',
+     "node ids must be 0..n-1 in order"),
+    (b'"nodes":[{"id":1,"op":"a"},{"id":0,"op":"b"}],"edges":[]}',
+     "node ids must be 0..n-1 in order"),
+    (b'"nodes":[{"id":0}],"edges":[]}', "nodes must be objects with id, op"),
+    (b'"nodes":[[0,"a"]],"edges":[]}', "nodes must be objects with id, op"),
+    (b'"nodes":{},"edges":[]}', "nodes must be an array"),
+    (b'"nodes":[{"id":0,"op":"a"}],"edges":[{"src":0,"kind":"data"}]}',
+     "edges must be objects with src, dst, kind"),
+    (b'"nodes":[{"id":0,"op":"a"}],"edges":[{"src":0,"dst":1,"kind":"data"}]}',
+     "edge endpoint out of range: (0, 1, 'data')"),
+], ids=["id_true", "ids_out_of_order", "node_without_op", "node_not_object",
+        "nodes_not_array", "edge_without_dst", "edge_out_of_range"])
+def test_json_version_2_rejections(body, message):
+    with pytest.raises(GraphFormatError, match=_exactly(message)):
+        from_json(_V2_HEAD + body)
 
 
 @pytest.mark.parametrize("version", [b"true", b"1.0", b"2.0", b'"2"', b"null"])
 def test_json_version_must_be_the_integer_1_or_2(version):
+    """The version must be exactly the integer 1, 2 or 3."""
     ok = to_json(_labeled("%3 = sub i32 %1, %2\n%5 = sub i32 %3, %4"))
     message = f"unsupported graph version {json.loads(version)!r}"
     with pytest.raises(VersionMismatch, match=_exactly(message)):
-        from_json(ok.replace(b'"version":2', b'"version":' + version))
+        from_json(ok.replace(b'"version":3', b'"version":' + version))
 
 
 @pytest.mark.parametrize("doc,detail", [
@@ -300,33 +350,54 @@ def test_json_too_deep_or_too_long_is_a_format_error(doc, detail):
 
 _JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 3) | st.floats(allow_nan=False)
+    | st.sampled_from([2**63, 2**64, -2**63 - 1])
     | st.text(max_size=5) | st.sampled_from(["data", "memory", "i32", "<2 x i8>", "add"]),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
         st.sampled_from(["id", "op", "type", "src", "dst", "w", "kind"]), inner, max_size=4),
     max_leaves=8)
 
 
+def _version_2(obj):
+    """The version 2 form of a version 3 document: one object per node and per edge."""
+    head = {key: obj[key] for key in ("origin", "label", "family")}
+    return {"version": 2, **head,
+            "nodes": [{"id": i, "op": op} for i, op in enumerate(obj["ops"])],
+            "edges": [{"src": s, "dst": d, "kind": k}
+                      for s, d, k in zip(obj["src"], obj["dst"], obj["kind"])]}
+
+
 @st.composite
 def _mutated_document(draw):
-    """A valid graph document with a few values replaced or keys deleted."""
+    """A valid version 3 or 2 document with a few values replaced or deleted.
+
+    Version 3 mutations hit whole columns (top-level keys) and single column
+    elements; version 2 mutations hit node and edge objects.
+    """
     obj = json.loads(to_json(_labeled(
         "%a = add i32 %x, %y\n%b = load i64, i64* %a\nstore i64 %b, i64* %a\nret i64 %b")))
+    v2 = draw(st.booleans())
+    if v2:
+        obj = _version_2(obj)
+    parts = ("nodes", "edges") if v2 else ("ops", "src", "dst", "kind")
     for _ in range(draw(st.integers(1, 4))):
-        where = draw(st.sampled_from(["top", "node", "edge"]))
-        if where == "top":
-            target = obj
-        else:
-            items = obj.get("nodes" if where == "node" else "edges")
-            if not isinstance(items, list) or not items:
+        where = draw(st.sampled_from(["top", *parts]))
+        target = obj if where == "top" else obj.get(where)
+        if where != "top" and v2:  # one node or edge object
+            if not isinstance(target, list) or not target:
                 continue
-            target = items[draw(st.integers(0, len(items) - 1))]
-            if not isinstance(target, dict):
-                continue
-        key = draw(st.sampled_from(sorted(target) + ["extra"]))
-        if draw(st.booleans()):
-            target.pop(key, None)
-        else:
-            target[key] = draw(_JSON_VALUES)
+            target = target[draw(st.integers(0, len(target) - 1))]
+        if isinstance(target, dict):
+            key = draw(st.sampled_from(sorted(target) + ["extra"]))
+            if draw(st.booleans()):
+                target.pop(key, None)
+            else:
+                target[key] = draw(_JSON_VALUES)
+        elif isinstance(target, list) and target:  # one element of a column
+            i = draw(st.integers(0, len(target) - 1))
+            if draw(st.booleans()):
+                del target[i]
+            else:
+                target[i] = draw(_JSON_VALUES)
     data = json.dumps(obj).encode()
     cut = draw(st.integers(0, len(data)))
     return data if draw(st.booleans()) else data[:cut] + draw(st.binary(max_size=3))

@@ -192,6 +192,7 @@ target datalayout = "e-m:e"
 declare i32 @puts(i8*)
 @.str = constant [4 x i8] c"hey\\00"
 !0 = !{i32 1}
+$f = comdat any
 %struct.S = type { i32, i32 }
 %T = type opaque
 %x = add i32 %a, %b
