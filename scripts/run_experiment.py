@@ -18,7 +18,7 @@ from malgraph.analytics import export_features_csv, topo_features
 from malgraph.corpus import CorpusSpec, generate
 from malgraph.pipeline import (
     TrainConfig,
-    eval_samples,
+    eval_scores,
     load_dataset,
     save_history,
     train,
@@ -59,7 +59,7 @@ def main() -> int:
     save_model(result.params, result.vocab, out / "model.json")
     save_history(result.history, out / "history.csv")
 
-    report = eval_samples(result.params, result.test_samples, result.test_manifest)
+    report = eval_scores(result.test_scores, result.test_manifest)
     doc = {
         "acc": report.acc,
         "auroc": report.auroc,

@@ -27,7 +27,7 @@ from .errors import MalgraphError, NonFiniteScores, make_dir, write_file
 from .pipeline import (
     TrainConfig,
     eval_per_family,
-    eval_samples,
+    eval_scores,
     load_dataset,
     load_manifest,
     read_graph,
@@ -132,7 +132,7 @@ def cmd_train(args) -> int:
     save_model(result.params, result.vocab, args.out)
     if args.history:
         save_history(result.history, args.history)
-    report = eval_samples(result.params, result.test_samples, result.test_manifest)
+    report = eval_scores(result.test_scores, result.test_manifest)
     auroc = "n/a" if report.auroc is None else f"{report.auroc:.6f}"
     print(f"test acc {report.acc:.6f}  auroc {auroc}  f1 {report.f1:.6f}")
     print(f"model -> {args.out}")

@@ -49,7 +49,7 @@ from .sage import (
 __all__ = [
     "Manifest", "ManifestEntry", "TrainConfig", "EpochStats", "TrainResult",
     "EvalReport", "load_manifest", "save_manifest", "read_graph", "load_dataset",
-    "split", "train", "auroc", "metrics", "eval_per_family", "eval_samples",
+    "split", "train", "auroc", "metrics", "eval_per_family", "eval_scores",
     "score_samples", "require_finite", "SCORE_ROWS",
     "save_history", "worker_count",
     "HISTORY_CSV_HEADER",
@@ -250,13 +250,13 @@ class EpochStats:
 
 @dataclass
 class TrainResult:
-    """`test_samples` are the encoded graphs of `test_manifest`, in its order."""
+    """`test_scores` are the final parameters' scores of `test_manifest`, in its order."""
 
     params: ModelParams
     vocab: OpVocabulary
     history: list
     test_manifest: Manifest
-    test_samples: list
+    test_scores: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -368,25 +368,25 @@ def train(manifest: Manifest, cfg: TrainConfig, *, vocab_scope: str = "train") -
                 test_acc=metrics(scores, test_labels)["acc"],
                 test_auroc=auroc(scores, test_labels),
             ))
-    return TrainResult(params, vocab, history, test_m, test_samples)
+    return TrainResult(params, vocab, history, test_m, scores)
 
 
 def eval_per_family(params: ModelParams, vocab: OpVocabulary,
                     manifest: Manifest) -> EvalReport:
     """Overall ACC/AUROC/F1 plus per-family accuracy on a labeled manifest."""
-    graphs = load_dataset(manifest)
-    return eval_samples(params, [encode(g, vocab) for g in graphs], manifest)
+    samples = [encode(g, vocab) for g in load_dataset(manifest)]
+    return eval_scores(score_samples(params, samples), manifest)
 
 
-def eval_samples(params: ModelParams, samples, manifest: Manifest) -> EvalReport:
-    """eval_per_family of samples already encoded from `manifest`, in its order.
+def eval_scores(scores, manifest: Manifest) -> EvalReport:
+    """eval_per_family of scores already taken of `manifest`, in its order.
 
     Raises NonFiniteScores rather than report metrics of non-finite scores.
     """
     if not manifest.entries:
         raise TooFewSamples("evaluation needs at least one entry")
-    labels = _labels_of(samples)
-    scores = require_finite(score_samples(params, samples))
+    labels = np.asarray([e.label for e in manifest.entries], dtype=float)
+    scores = require_finite(scores)
     core = metrics(scores, labels)
     try:
         area = auroc(scores, labels)

@@ -10,9 +10,10 @@ All math is float64 and hand-differentiated; gradients are validated against
 central finite differences in the test suite.  N(v) is v's full undirected
 neighbour set, so a forward pass is deterministic; each sample carries its
 mean matrix (`GraphSample.agg`), and a batch's matrix is their block diagonal.
-For training, forward keeps one row block per layer, its output h, and
-backward recomputes the cheap sparse mean (agg @ h) rather than keep it; for
-scoring (cache=False) it keeps no layer's activations.
+For training, forward keeps one row block per SAGE layer, its output h; backward
+rebuilds the input rows H_0 from the parameters and the cheap sparse mean
+(agg @ h) rather than keep them, and frees each block once it has read it for
+the last time.  For scoring (cache=False) forward keeps no layer's activations.
 """
 
 from __future__ import annotations
@@ -123,15 +124,27 @@ def _act(z: np.ndarray, kind: str) -> np.ndarray:
 
 
 def _act_backward(h: np.ndarray, dh: np.ndarray, kind: str) -> np.ndarray:
-    """d loss / d z from d loss / d h, where h = act(z).
+    """d loss / d z from d loss / d h, where h = act(z), written over dh.
 
     h > 0 exactly where z > 0 (NaN included), so the output stands in for
     the pre-activation.  Both kinds multiply dh by a slope array (the mask,
     or 1 and LEAKY_SLOPE), which keeps dh's sign of zero.
     """
     if kind == "relu":
-        return dh * (h > 0)
-    return dh * np.maximum(h > 0, LEAKY_SLOPE)
+        return np.multiply(dh, h > 0, out=dh)
+    return np.multiply(dh, np.maximum(h > 0, LEAKY_SLOPE), out=dh)
+
+
+def _input_rows(params: ModelParams, idx: np.ndarray) -> np.ndarray:
+    """H_0, each row's embedded (or one-hot) opcode.
+
+    The activation runs over the vocabulary-row table before the gather; as
+    it is elementwise, the rows equal act(embed_W[idx] + embed_b) bit for bit.
+    """
+    arch = params.arch
+    if arch.use_embedding:
+        return _act(params.embed_W + params.embed_b, arch.activation)[idx]
+    return one_hot(idx, arch.vocab_size)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -147,9 +160,12 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 class ForwardCache:
     """What one forward pass leaves behind.
 
-    With the cache on, hs holds H_0 .. H_L: the embedded (or one-hot) input
-    and each layer's output, one row block per layer.  With the cache off,
-    hs holds only H_L, which pooling reads anyway.
+    With the cache on, hs holds H_1 .. H_L, each SAGE layer's output, one row
+    block per layer; the input rows H_0 are rebuilt from the parameters when
+    needed.  backward releases H_2 .. H_L as it goes and leaves hs == [H_1],
+    so the cache serves one backward only.  With the cache off, hs holds only
+    H_L, which pooling reads anyway.  `for_backward` says whether backward may
+    still read the cache.
     """
 
     params: ModelParams
@@ -159,6 +175,7 @@ class ForwardCache:
     idx: np.ndarray                 # node op index per batch row
     agg: sp.csr_matrix
     hs: list
+    for_backward: bool
 
 
 def forward(params: ModelParams, batch, *, cache: bool = True):
@@ -181,27 +198,23 @@ def forward(params: ModelParams, batch, *, cache: bool = True):
         raise VocabMismatch(
             f"node op index {int(idx.max())} outside vocabulary of size {arch.vocab_size}")
 
-    kind = arch.activation
-    if arch.use_embedding:
-        h = _act(params.embed_W[idx] + params.embed_b, kind)
-    else:
-        h = one_hot(idx, arch.vocab_size)
-
+    h = _input_rows(params, idx)
     agg = sp.block_diag([s.agg for s in batch], format="csr")
     hs = []
     for w, b in zip(params.sage_W, params.sage_b):
-        if cache:
-            hs.append(h)
         x = np.concatenate([h, agg @ h], axis=1)
         del h  # x holds a copy
         h = x @ w
         del x
         h += b
-        _act(h, kind)
+        _act(h, arch.activation)
+        if cache:
+            hs.append(h)
 
     pooled = np.add.reduceat(h, offsets, axis=0) / counts[:, None]
     scores = _sigmoid(pooled @ params.out_W + params.out_b)
-    return scores, ForwardCache(params, scores, pooled, counts, idx, agg, hs + [h])
+    return scores, ForwardCache(params, scores, pooled, counts, idx, agg,
+                                hs if cache else [h], for_backward=cache)
 
 
 CLAMP_LO = 1e-12
@@ -215,15 +228,20 @@ def bce_loss(scores, labels) -> float:
 
 
 def backward(params: ModelParams, cache: ForwardCache, labels):
-    """Mean binary cross-entropy and its exact gradients; returns (loss, grads)."""
+    """Mean binary cross-entropy and its exact gradients; returns (loss, grads).
+
+    Reads the cache once: it releases all of cache.hs but H_1 on the way.
+    """
     if cache.params is not params:
         raise CacheMismatch("cache was produced by different parameters")
-    if len(cache.hs) == 1:
-        raise CacheMismatch("forward ran with cache=False")
+    if not cache.for_backward:
+        raise CacheMismatch("cache holds no activations: forward ran with cache=False, "
+                            "or backward already read it")
     labels = np.asarray(labels, dtype=float)
     if labels.shape != cache.scores.shape:
         raise CacheMismatch(
             f"{labels.shape[0] if labels.ndim else 0} labels for {len(cache.scores)} scores")
+    cache.for_backward = False
 
     arch = params.arch
     s = cache.scores
@@ -240,21 +258,28 @@ def backward(params: ModelParams, cache: ForwardCache, labels):
 
     # each layer's weights split into the halves that multiply h and agg @ h
     kind = arch.activation
-    agg, agg_t = cache.agg, cache.agg.T.tocsr()
+    hs, agg, agg_t = cache.hs, cache.agg, cache.agg.T.tocsr()
     for k in reversed(range(arch.num_sage_layers)):
-        h, w = cache.hs[k], params.sage_W[k]
+        # layer k's output H_{k+1} = hs[k] has no reader after its mask; H_1 stays
+        dz = _act_backward(hs.pop() if k else hs[0], dh, kind)
+        h = hs[k - 1] if k else _input_rows(params, cache.idx)
+        w = params.sage_W[k]
         d_in = h.shape[1]
-        dz = _act_backward(cache.hs[k + 1], dh, kind)
         dw = np.empty_like(w)
         np.matmul(h.T, dz, out=dw[:d_in])
         np.matmul((agg @ h).T, dz, out=dw[d_in:])
         grads[f"sage_W.{k}"] = dw
         grads[f"sage_b.{k}"] = dz.sum(axis=0)
+        if k == 0 and not arch.use_embedding:
+            break  # the one-hot input has no gradient
+        back = agg_t @ (dz @ w[d_in:].T)
         dh = dz @ w[:d_in].T
-        dh += agg_t @ (dz @ w[d_in:].T)
+        del dz
+        dh += back
+        del back
 
     if arch.use_embedding:
-        dz0 = _act_backward(cache.hs[0], dh, kind)
+        dz0 = _act_backward(h, dh, kind)
         grads["embed_b"] = dz0.sum(axis=0)
         # row r of dz0 adds to row idx[r], in row order: a one-hot (rows × vocab) product
         rows = len(cache.idx)

@@ -25,6 +25,7 @@ from malgraph.depgraph import DATA, DepGraph, build_graph
 from malgraph.ir import parse_trace
 from malgraph.pipeline import TrainConfig, auroc, load_dataset, train
 from malgraph.sage import (
+    LEAKY_SLOPE,
     ArchConfig,
     backward,
     bce_loss,
@@ -149,15 +150,17 @@ def test_gradients_match_finite_differences():
         return bce_loss(scores, labels)
 
     scores, cache = forward(params, [sample])
-    _, grads = backward(params, cache, labels)
 
     # every pre-activation must sit clear of the piecewise-linear kink, or
-    # finite differences would straddle two slopes and measure neither
+    # finite differences would straddle two slopes and measure neither; the
+    # cache keeps H_1 .. H_L until backward, and H_0 is rebuilt from the parameters
     z_all = [params.embed_W[cache.idx] + params.embed_b]
-    xs = [np.concatenate([h, cache.agg @ h], axis=1) for h in cache.hs[:-1]]
+    h_0 = np.maximum(z_all[0], LEAKY_SLOPE * z_all[0])
+    xs = [np.concatenate([h, cache.agg @ h], axis=1) for h in [h_0] + cache.hs[:-1]]
     assert len(xs) == arch.num_sage_layers
     z_all += [x @ w + b for x, w, b in zip(xs, params.sage_W, params.sage_b)]
     assert min(float(np.min(np.abs(z))) for z in z_all) > 1e-3
+    _, grads = backward(params, cache, labels)
 
     checked = 0
     for name, tensor in params.tensors().items():

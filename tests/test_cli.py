@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from malgraph import corpus, pipeline
+from malgraph import cli, corpus, pipeline
 from malgraph.cli import main
 from malgraph.depgraph import from_json, to_json
 
@@ -379,6 +379,27 @@ def test_train_parses_each_file_once(trained, tmp_path, capsys, monkeypatch):
     assert code == 0 and out.startswith("test acc ")
     assert len(calls) == len(manifest.read_text().splitlines()) == 16
     assert len(set(calls)) == 16
+
+
+def test_train_scores_the_test_split_once_per_epoch(trained, tmp_path, capsys, monkeypatch):
+    calls = []
+    score_samples = pipeline.score_samples
+
+    def counting(params, samples):
+        calls.append(len(samples))
+        return score_samples(params, samples)
+
+    monkeypatch.setattr(pipeline, "score_samples", counting)
+    monkeypatch.setattr(cli, "score_samples", counting)
+    code, out, _ = run(["train", "--manifest", trained / "c" / "manifest.jsonl",
+                        "--out", tmp_path / "m.json", "--history", tmp_path / "h.csv",
+                        "--epochs", "3", "--hidden", "8", "--layers", "4"], capsys)
+    assert code == 0
+    assert calls == [2, 2, 2]  # the two test graphs, once per epoch
+    # the printed metrics are the last epoch's, taken with the final parameters
+    _, acc, auroc = (tmp_path / "h.csv").read_text().splitlines()[-1].split(",")[1:]
+    assert out.splitlines()[0].startswith(
+        f"test acc {float(acc):.6f}  auroc {float(auroc):.6f}  f1 ")
 
 
 def test_train_missing_manifest_exits_1(tmp_path, capsys):

@@ -30,7 +30,7 @@ from malgraph.pipeline import (
     TrainConfig,
     auroc,
     eval_per_family,
-    eval_samples,
+    eval_scores,
     load_dataset,
     load_manifest,
     metrics,
@@ -452,8 +452,8 @@ def test_eval_per_family(tmp_path):
     result = train(manifest, cfg)
     report = eval_per_family(result.params, result.vocab, manifest)
     assert set(report.per_family) == {"benign", "worm", "trojan"}
-    # train's own encoded test split reports what re-reading the split reports
-    assert eval_samples(result.params, result.test_samples, result.test_manifest) == \
+    # train's last scores of its test split report what re-reading the split reports
+    assert eval_scores(result.test_scores, result.test_manifest) == \
         eval_per_family(result.params, result.vocab, result.test_manifest)
     assert report.per_family["benign"]["samples"] == 6
     assert report.per_family["worm"]["samples"] == 3
