@@ -17,6 +17,7 @@ from pathlib import Path
 from malgraph.analytics import export_features_csv, topo_features
 from malgraph.corpus import CorpusSpec, generate
 from malgraph.pipeline import (
+    THRESHOLD,
     TrainConfig,
     eval_scores,
     load_dataset,
@@ -64,7 +65,7 @@ def main() -> int:
         "acc": report.acc,
         "auroc": report.auroc,
         "f1": report.f1,
-        "threshold": report.threshold,
+        "threshold": THRESHOLD,
         "per_family": report.per_family,
     }
     (out / "eval.json").write_text(json.dumps(doc, indent=2) + "\n")

@@ -25,13 +25,13 @@ from .corpus import CorpusSpec, generate
 from .depgraph import save_graph
 from .errors import MalgraphError, NonFiniteScores, make_dir, write_file
 from .pipeline import (
+    THRESHOLD,
     TrainConfig,
     eval_per_family,
     eval_scores,
     load_dataset,
     load_manifest,
     read_graph,
-    require_finite,
     save_history,
     score_samples,
     train,
@@ -153,9 +153,9 @@ def cmd_predict(args) -> int:
     params, vocab = load_model(args.model)
     samples = [encode(read_graph(p), vocab) for p in args.graphs]
     with _scoring(args.model):
-        scores = require_finite(score_samples(params, samples))
+        scores = score_samples(params, samples)
     for path, score in zip(args.graphs, scores):
-        verdict = "malicious" if score >= 0.5 else "benign"
+        verdict = "malicious" if score >= THRESHOLD else "benign"
         print(f"{path}\t{score:.6f}\t{verdict}")
     return 0
 
@@ -171,7 +171,7 @@ def cmd_eval(args) -> int:
         "acc": round(report.acc, 6),
         "auroc": None if report.auroc is None else round(report.auroc, 6),
         "f1": round(report.f1, 6),
-        "threshold": report.threshold,
+        "threshold": THRESHOLD,
         "per_family": {
             fam: {"samples": row["samples"], "acc": round(row["acc"], 6)}
             for fam, row in report.per_family.items()
@@ -216,7 +216,7 @@ def cmd_features(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="malgraph",
-        description="Instruction-dependency graphs and a GraphSAGE malware classifier.",
+        description="Dependency graphs of instructions and a GraphSAGE malware classifier.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -14,7 +14,7 @@ bytes do not depend on the files generated before it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -49,8 +49,6 @@ class CorpusSpec:
     malicious_count: int
     seed: int
     size_range: tuple = (50, 400)
-    benign_families: dict = field(default_factory=lambda: dict(BENIGN_FAMILIES))
-    malicious_families: dict = field(default_factory=lambda: dict(MALICIOUS_FAMILIES))
     easy: bool = False
 
     def __post_init__(self):
@@ -59,9 +57,6 @@ class CorpusSpec:
         lo, hi = self.size_range
         if lo < 5 or hi < lo:
             raise ValueError("size_range must satisfy 5 <= min <= max")
-        for fams in (self.benign_families, self.malicious_families):
-            if not fams or any(w <= 0 for w in fams.values()):
-                raise ValueError("family weights must be positive")
 
 
 # Motif knobs per family: probabilities of instruction categories, fan-in
@@ -203,7 +198,7 @@ def _emit_lines(rng, size: int, knobs: dict, easy_skew: str | None) -> list:
 def _make_file(spec: CorpusSpec, index: int, benign: bool):
     """(family, text) for global file `index`; deterministic in (seed, index)."""
     rng = np.random.default_rng(np.random.SeedSequence((spec.seed, index)))
-    fams = spec.benign_families if benign else spec.malicious_families
+    fams = BENIGN_FAMILIES if benign else MALICIOUS_FAMILIES
     names = sorted(fams)
     weights = np.array([fams[n] for n in names], dtype=float)
     family = names[int(rng.choice(len(names), p=weights / weights.sum()))]

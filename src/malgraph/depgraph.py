@@ -1,4 +1,4 @@
-"""Instruction-dependency graphs, held as columns.
+"""Dependency graphs of instructions, held as columns.
 
 Nodes are trace instructions, each carrying its opcode; a data edge producer →
 consumer is inserted when a consumer's source register resolves, under the

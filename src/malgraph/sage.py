@@ -90,30 +90,43 @@ class ModelParams:
         return out
 
 
-def _glorot(rng, fan_in: int, fan_out: int, shape) -> np.ndarray:
-    limit = math.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape)
+def _expected_shapes(arch: ArchConfig) -> dict:
+    """The model's one table of tensor names and shapes, in `ModelParams.tensors` order."""
+    shapes = {}
+    if arch.use_embedding:
+        shapes["embed_W"] = (arch.vocab_size, arch.embed_dim)
+        shapes["embed_b"] = (arch.embed_dim,)
+    d_in = arch.input_dim
+    for k in range(arch.num_sage_layers):
+        shapes[f"sage_W.{k}"] = (2 * d_in, arch.hidden_dim)
+        shapes[f"sage_b.{k}"] = (arch.hidden_dim,)
+        d_in = arch.hidden_dim
+    shapes["out_W"] = (arch.hidden_dim,)
+    shapes["out_b"] = ()
+    return shapes
+
+
+def _params(arch: ArchConfig, tensors_by_name: dict) -> ModelParams:
+    """The ModelParams of tensors named as in `_expected_shapes(arch)`."""
+    t = tensors_by_name
+    layers = range(arch.num_sage_layers)
+    return ModelParams(arch, t.get("embed_W"), t.get("embed_b"),
+                       [t[f"sage_W.{k}"] for k in layers], [t[f"sage_b.{k}"] for k in layers],
+                       t["out_W"], t["out_b"])
 
 
 def init_params(arch: ArchConfig, seed: int) -> ModelParams:
-    """Glorot-uniform weights, zero biases, deterministic in (arch, seed)."""
+    """Glorot-uniform weights drawn in table order, zero biases; deterministic in (arch, seed)."""
     rng = np.random.default_rng(seed)
-    if arch.use_embedding:
-        embed_W = _glorot(rng, arch.vocab_size, arch.embed_dim,
-                          (arch.vocab_size, arch.embed_dim))
-        embed_b = np.zeros(arch.embed_dim)
-    else:
-        embed_W = embed_b = None
-    sage_W, sage_b = [], []
-    d_in = arch.input_dim
-    for _ in range(arch.num_sage_layers):
-        sage_W.append(_glorot(rng, 2 * d_in, arch.hidden_dim,
-                              (2 * d_in, arch.hidden_dim)))
-        sage_b.append(np.zeros(arch.hidden_dim))
-        d_in = arch.hidden_dim
-    out_W = _glorot(rng, arch.hidden_dim, 1, (arch.hidden_dim,))
-    out_b = np.zeros(())
-    return ModelParams(arch, embed_W, embed_b, sage_W, sage_b, out_W, out_b)
+    tensors = {}
+    for name, shape in _expected_shapes(arch).items():
+        if name.split(".")[0].endswith("_b"):
+            tensors[name] = np.zeros(shape)
+        else:
+            fan_in, fan_out = (*shape, 1)[:2]
+            limit = math.sqrt(6.0 / (fan_in + fan_out))
+            tensors[name] = rng.uniform(-limit, limit, size=shape)
+    return _params(arch, tensors)
 
 
 def _act(z: np.ndarray, kind: str) -> np.ndarray:
@@ -362,21 +375,6 @@ def model_to_json(params: ModelParams, vocab: OpVocabulary) -> bytes:
         raise GraphFormatError(f"model contains non-finite values: {e}") from None
 
 
-def _expected_shapes(arch: ArchConfig) -> dict:
-    shapes = {}
-    if arch.use_embedding:
-        shapes["embed_W"] = (arch.vocab_size, arch.embed_dim)
-        shapes["embed_b"] = (arch.embed_dim,)
-    d_in = arch.input_dim
-    for k in range(arch.num_sage_layers):
-        shapes[f"sage_W.{k}"] = (2 * d_in, arch.hidden_dim)
-        shapes[f"sage_b.{k}"] = (arch.hidden_dim,)
-        d_in = arch.hidden_dim
-    shapes["out_W"] = (arch.hidden_dim,)
-    shapes["out_b"] = ()
-    return shapes
-
-
 def _tensor(obj, name: str, expect) -> np.ndarray:
     try:
         arr = np.asarray(obj, dtype=float) if obj is not None else None
@@ -434,7 +432,6 @@ def model_from_json(data):
     w = obj["weights"]
     if not isinstance(w, dict):
         raise GraphFormatError("weights must be an object")
-    shapes = _expected_shapes(arch)
     sage_w_list = w.get("sage_W") or []
     sage_b_list = w.get("sage_b") or []
     if not isinstance(sage_w_list, list) or not isinstance(sage_b_list, list):
@@ -443,20 +440,10 @@ def model_from_json(data):
         raise ShapeMismatch(
             f"expected {arch.num_sage_layers} sage layers, found "
             f"{len(sage_w_list)} weight / {len(sage_b_list)} bias tensors")
-
-    if arch.use_embedding:
-        embed_W = _tensor(w.get("embed_W"), "embed_W", shapes["embed_W"])
-        embed_b = _tensor(w.get("embed_b"), "embed_b", shapes["embed_b"])
-    else:
-        embed_W = embed_b = None
-    sage_W = [_tensor(sage_w_list[k], f"sage_W.{k}", shapes[f"sage_W.{k}"])
-              for k in range(arch.num_sage_layers)]
-    sage_b = [_tensor(sage_b_list[k], f"sage_b.{k}", shapes[f"sage_b.{k}"])
-              for k in range(arch.num_sage_layers)]
-    out_W = _tensor(w.get("out_W"), "out_W", shapes["out_W"])
-    out_b = _tensor(w.get("out_b"), "out_b", ())
-    params = ModelParams(arch, embed_W, embed_b, sage_W, sage_b, out_W, out_b)
-    return params, vocab
+    flat = dict(w, **{f"sage_W.{k}": x for k, x in enumerate(sage_w_list)},
+                **{f"sage_b.{k}": x for k, x in enumerate(sage_b_list)})
+    return _params(arch, {name: _tensor(flat.get(name), name, shape)
+                          for name, shape in _expected_shapes(arch).items()}), vocab
 
 
 def save_model(params: ModelParams, vocab: OpVocabulary, path):

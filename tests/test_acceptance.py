@@ -99,13 +99,14 @@ def _data_edge_oracle(unit):
     """Quadratic most-recent-definition rescan, independent of build_graph."""
     edges = set()
     last = {}
-    for i, ins in enumerate(unit.instructions):
-        for src in ins.sources:
+    ptr = unit.src_ptr.tolist()
+    for i, d in enumerate(unit.dest.tolist()):
+        for src in unit.src[ptr[i]:ptr[i + 1]].tolist():
             j = last.get(src)
             if j is not None:
                 edges.add((j, i))
-        if ins.dest is not None:
-            last[ins.dest] = i
+        if d >= 0:
+            last[d] = i
     return edges
 
 
@@ -113,12 +114,43 @@ def test_dependency_edges_match_rescan_oracle():
     for i in range(100):
         rng = np.random.default_rng(1000 + i)
         unit, n = _random_trace_unit(rng)
-        assert len(unit.instructions) == n
+        assert len(unit.opcodes) == n
         g = build_graph(unit)
         src, dst = g.edge_index.tolist()
         got = set(zip(src, dst))
         assert (g.edge_kind == DATA).all()
         assert got == _data_edge_oracle(unit)
+
+
+def _assert_columns_well_formed(unit):
+    """Every register id names exactly one (name, scope); src_ptr is a CSR pointer."""
+    named = [i for ids in unit.scopes.values() for i in ids.values()]
+    used = set(unit.src.tolist()) | {d for d in unit.dest.tolist() if d >= 0}
+    assert all(named.count(i) == 1 for i in used)
+    ptr = unit.src_ptr
+    assert len(ptr) == len(unit.opcodes) + 1
+    assert ptr[0] == 0 and ptr[-1] == len(unit.src) and (np.diff(ptr) >= 0).all()
+
+
+TWO_SCOPE_TRACES = [
+    "define i32 @f(i32 %a) {\n  %x = add i32 %a, %a\n  ret i32 %x\n}\n"
+    "define i32 @g(i32 %a) {\n  %x = mul i32 %a, %x\n  ret i32 %x\n}\n",
+    "%x = add i32 %a, %b\n"
+    "define void @f() {\n  store i32 %x, i32* %p\n  ret void\n}\n"
+    "%y = sub i32 %x, %a\n"
+    "define i32 @g(i32 %x) {\nentry:\n  %y = call i32 @f(i32 %x)\n  br label %entry\n}\n"
+    "ret i32 %y\n",
+]
+
+
+def test_columns_name_each_register_once():
+    for i in range(100):
+        unit, _ = _random_trace_unit(np.random.default_rng(1000 + i))
+        _assert_columns_well_formed(unit)
+    for text in TWO_SCOPE_TRACES:
+        unit = parse_trace(text, "scopes")
+        assert {"f", "g"} <= set(unit.scopes)
+        _assert_columns_well_formed(unit)
 
 
 # ------------------------------------------------------------------ 2

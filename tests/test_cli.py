@@ -358,14 +358,32 @@ def test_train_divergence_names_epoch_and_step(trained, tmp_path, capsys):
         warnings.simplefilter("always")
         code, out, err = run(["train", "--manifest", trained / "c" / "manifest.jsonl",
                               "--out", tmp_path / "m.json", "--epochs", "2",
-                              "--hidden", "8", "--layers", "4", "--lr", "1e300"], capsys)
+                              "--batch-size", "7", "--hidden", "8", "--layers", "4",
+                              "--lr", "1e300"], capsys)
     assert code == 1 and out == ""
     assert len(err.splitlines()) == 1
     assert caught == []  # no numpy overflow warnings before it
-    # 14 training graphs make one batch per epoch; the first step's update
+    # 14 training graphs make two batches per epoch; the first step's update
     # is finite, the second step's forward is not
-    assert "training diverged at epoch 2, step 2: non-finite loss" in err
+    assert "training diverged at epoch 1, step 2: non-finite loss" in err
     assert not (tmp_path / "m.json").exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_train_stops_when_test_scores_are_not_finite(tmp_path, capsys):
+    """A step whose loss and gradients are finite can leave parameters that
+    overflow in scoring; train stops there and writes no model or history."""
+    corpus = tmp_path / "c"
+    assert run(["corpus", "--out", corpus, "--benign", "6", "--malicious", "6",
+                "--seed", "1"], capsys)[0] == 0
+    code, out, err = run(["train", "--manifest", corpus / "manifest.jsonl",
+                          "--out", tmp_path / "m.json", "--epochs", "1",
+                          "--batch-size", "64", "--hidden", "4", "--layers", "4",
+                          "--lr", "1e150", "--history", tmp_path / "h.csv"], capsys)
+    assert code == 1 and out == ""
+    assert err == ("error: training diverged at epoch 1, step 1: "
+                   "2 of 2 test scores are not finite\n")
+    assert not (tmp_path / "m.json").exists() and not (tmp_path / "h.csv").exists()
 
 
 def test_train_parses_each_file_once(trained, tmp_path, capsys, monkeypatch):
@@ -621,6 +639,8 @@ def test_eval_json_matches_human_output(trained, capsys):
                         "--json", "--per-family"], capsys)
     assert code == 0
     doc = json.loads(out)
+    assert list(doc) == ["acc", "auroc", "f1", "threshold", "per_family"]
+    assert doc["threshold"] == 0.5
     _, human, _ = run(["eval", "--model", trained / "model.json",
                        "--manifest", trained / "c" / "manifest.jsonl",
                        "--per-family"], capsys)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from malgraph import depgraph, ir
+from malgraph import depgraph
 from malgraph.depgraph import (
     EDGE_KINDS,
     build_graph,
@@ -34,21 +34,20 @@ def oracle_edges(unit, control=False, memory=False):
 
     Independent of the incremental builder; used to cross-check its edge set.
     """
-    insts = unit.instructions
+    ops, dest, ptr, addr = unit.opcodes, unit.dest.tolist(), unit.src_ptr.tolist(), unit.mem_addr
     out = set()
-    for i, c in enumerate(insts):
-        for r in c.sources:
+    for i, op in enumerate(ops):
+        for r in unit.src[ptr[i]:ptr[i + 1]].tolist():
             for j in range(i - 1, -1, -1):
-                if insts[j].dest == r:
+                if dest[j] == r:
                     out.add((j, i, "data"))
                     break
-        if memory and c.opcode == "load" and c.mem_addr is not None:
+        if memory and op == "load" and i in addr:
             for j in range(i - 1, -1, -1):
-                p = insts[j]
-                if p.opcode == "store" and p.mem_addr == c.mem_addr:
+                if ops[j] == "store" and addr.get(j) == addr[i]:
                     out.add((j, i, "memory"))
                     break
-        if control and c.opcode in ("br", "ret") and i + 1 < len(insts):
+        if control and op in ("br", "ret") and i + 1 < len(ops):
             out.add((i, i + 1, "control"))
     return out
 
@@ -124,8 +123,8 @@ def test_one_name_in_two_scopes_makes_no_cross_scope_edge():
             "define i32 @g(i32 %b) {\n  %y = add i32 %x, %b\n  %x = add i32 %b, %b\n"
             "  ret i32 %x\n}\n")
     unit = parse_trace(text, "t")
-    x = [unit.registers[d] for d in unit.dest if d >= 0 and unit.registers[d].name == "x"]
-    assert x == [ir.Register("x", "f"), ir.Register("x", "g")]
+    assert unit.scopes["f"]["x"] != unit.scopes["g"]["x"]
+    assert unit.dest[[0, 3]].tolist() == [unit.scopes["f"]["x"], unit.scopes["g"]["x"]]
     # %x in @g's first add names @g's later %x, not @f's
     assert edge_list(build_graph(unit)) == [(0, 1, "data"), (3, 4, "data")]
 

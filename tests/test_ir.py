@@ -6,20 +6,27 @@ from hypothesis import strategies as st
 
 from malgraph import ir
 from malgraph.errors import EmptyUnit, MalformedLine, MalgraphError
-from malgraph.ir import Instruction, Register, parse_trace
+from malgraph.ir import parse_trace
+
+
+def rows(unit):
+    """Each instruction as (opcode, dest, sources, mem_addr), read from the
+    columns; every register id becomes its (name, scope) through `unit.scopes`,
+    and a missing destination (-1) becomes None."""
+    reg = {i: (name, scope) for scope, ids in unit.scopes.items() for name, i in ids.items()}
+    ptr = unit.src_ptr.tolist()
+    return [(op, reg.get(d), tuple(reg[r] for r in unit.src[ptr[i]:ptr[i + 1]].tolist()),
+             unit.mem_addr.get(i))
+            for i, (op, d) in enumerate(zip(unit.opcodes, unit.dest.tolist()))]
 
 
 def test_basic_sub_line():
     unit = parse_trace("%3 = sub i32 %1, %2", "t")
-    (inst,) = unit.instructions
-    assert inst.opcode == "sub"
-    assert inst.dest == Register("3")
-    assert inst.sources == (Register("1"), Register("2"))
-    assert inst.mem_addr is None
+    assert rows(unit) == [("sub", ("3", ""), (("1", ""), ("2", "")), None)]
 
 
-VALUE_CALL = Instruction("call", Register("r"), (Register("x"),))
-VOID_CALL = Instruction("call", None, (Register("x"),))
+VALUE_CALL = ("call", ("r", ""), (("x", ""),), None)
+VOID_CALL = ("call", None, (("x", ""),), None)
 
 
 @pytest.mark.parametrize("token,expected", [
@@ -45,37 +52,38 @@ VOID_CALL = Instruction("call", None, (Register("x"),))
 ])
 def test_parse_type_token(token, expected):
     """Any type token is opaque; `void` alone makes a call valueless."""
-    dest, other = ("%r = ", "") if expected.dest else ("", "%r = ")
-    (inst,) = parse_trace(f"{dest}call {token} @f({token} %x)", "t").instructions
-    assert inst == expected
+    dest, other = ("%r = ", "") if expected[1] else ("", "%r = ")
+    assert rows(parse_trace(f"{dest}call {token} @f({token} %x)", "t")) == [expected]
     with pytest.raises(MalformedLine):
         parse_trace(f"{other}call {token} @f({token} %x)", "t")
 
 
 def test_type_tokens_past_the_length_bound_are_opaque():
     """No type token is too long; a named type's %-token counts as a source."""
-    store = Instruction("store", None, (Register("v"), Register("p")))
+    store = ("store", None, (("v", ""), ("p", "")), None)
     for token in ["i" + "0" * 254 + "64", "<02 x i" + "0" * 250 + "8>"]:
-        (inst,) = parse_trace(f"store {token} %v, ptr %p", "t").instructions
-        assert inst == store
+        assert rows(parse_trace(f"store {token} %v, ptr %p", "t")) == [store]
     named = "struct." + "x" * 1000
-    (inst,) = parse_trace(f"store %{named}* %v, ptr %p", "t").instructions
-    assert inst == Instruction("store", None, (Register(named),) + store.sources)
+    assert rows(parse_trace(f"store %{named}* %v, ptr %p", "t")) == [
+        ("store", None, ((named, ""),) + store[2], None)]
 
 
 def test_type_tokens_and_registers_are_shared():
+    """One id per name and scope, wherever the name is read or written."""
     unit = parse_trace("%a = add i32 %x, %x\n%b = mul i32 %a, %x\n%a = sub i32 %b, %a", "t")
-    add, mul, sub = unit.instructions
-    assert add.sources[0] is add.sources[1] is mul.sources[1]
-    assert add.dest is mul.sources[0] is sub.dest is sub.sources[1]
+    a, b, x = (unit.scopes[""][n] for n in "abx")
+    assert unit.dest.tolist() == [a, b, a]
+    assert unit.src.tolist() == [x, x, a, x, b, a]
+    assert unit.src_ptr.tolist() == [0, 2, 4, 6]
     ll = parse_trace("%t = add i32 %x, %x\n"
                      "define i32 @f(i32 %x) {\n  %a = add i32 %x, %x\n  ret i32 %a\n}\n"
                      "define i32 @g(i32 %x) {\n  ret i32 %x\n}\n"
                      "%u = add i32 %x, %t\n", "t")
-    t, f_add, f_ret, g_ret, u = ll.instructions
-    assert f_add.sources[0] is f_add.sources[1] and f_add.dest is f_ret.sources[0]
-    assert g_ret.sources[0] == Register("x", "g") != f_add.sources[0]
-    assert u.sources[0] is t.sources[0] and u.sources[1] is t.dest
+    top, f, g = ll.scopes[""], ll.scopes["f"], ll.scopes["g"]
+    assert len({top["x"], f["x"], g["x"]}) == 3
+    assert ll.dest.tolist() == [top["t"], f["a"], -1, -1, top["u"]]
+    assert ll.src.tolist() == [top["x"], top["x"], f["x"], f["x"], f["a"], g["x"],
+                               top["x"], top["t"]]
 
 
 def test_empty_input_rejected():
@@ -105,24 +113,21 @@ done:
 
 def test_golden_structure():
     unit = parse_trace(GOLDEN, "golden.ll")
-    ops = [i.opcode for i in unit.instructions]
-    assert ops == ["alloca", "store", "load", "add", "icmp", "br",
-                   "getelementptr", "call", "br", "ret"]
+    def m(*names):
+        return tuple((n, "main") for n in names)
 
-    alloca, store, load, add, icmp, br1, gep, call, br2, ret = unit.instructions
-    assert alloca.dest == Register("p", "main")
-    assert store.dest is None
-    assert store.sources == (Register("argc", "main"), Register("p", "main"))
-    assert store.mem_addr == 0x10
-    assert load.mem_addr == 0x10 and load.sources == (Register("p", "main"),)
-    assert add.mem_addr is None
-    assert icmp.sources == (Register("one", "main"), Register("argc", "main"))
-    assert br1.sources == (Register("cmp", "main"), Register("then", "main"),
-                           Register("done", "main"))
-    assert gep.sources == (Register("p", "main"), Register("v", "main"))
-    assert call.dest == Register("r", "main")
-    assert call.sources == (Register("one", "main"), Register("q", "main"))
-    assert ret.sources == (Register("one", "main"),)
+    assert rows(unit) == [
+        ("alloca", ("p", "main"), (), None),
+        ("store", None, m("argc", "p"), 0x10),
+        ("load", ("v", "main"), m("p"), 0x10),
+        ("add", ("one", "main"), m("v", "v"), None),
+        ("icmp", ("cmp", "main"), m("one", "argc"), None),
+        ("br", None, m("cmp", "then", "done"), None),
+        ("getelementptr", ("q", "main"), m("p", "v"), None),
+        ("call", ("r", "main"), m("one", "q"), None),
+        ("br", None, m("done"), None),
+        ("ret", None, m("one"), None),
+    ]
 
 
 def test_trace_allows_redefinition():
@@ -133,32 +138,31 @@ def test_trace_allows_redefinition():
         "%c = add i32 %a, %b",
     ])
     unit = parse_trace(text, "t")
-    assert len(unit.instructions) == 4
-    assert unit.instructions[0].dest == unit.instructions[2].dest == Register("a")
+    assert len(unit.opcodes) == 4
+    assert unit.dest[0] == unit.dest[2] == unit.scopes[""]["a"]
 
 
 def test_call_with_a_function_type():
     """The return token before a function type decides the destination."""
-    (inst,) = parse_trace("call void (i8*, ...) @f(i8* %a)", "t").instructions
-    assert inst == Instruction("call", None, (Register("a"),))
-    (inst,) = parse_trace("%x = call i32 (i8*, ...) @f(i8* %a)", "t").instructions
-    assert inst == Instruction("call", Register("x"), (Register("a"),))
+    assert rows(parse_trace("call void (i8*, ...) @f(i8* %a)", "t")) == [
+        ("call", None, (("a", ""),), None)]
+    assert rows(parse_trace("%x = call i32 (i8*, ...) @f(i8* %a)", "t")) == [
+        ("call", ("x", ""), (("a", ""),), None)]
 
 
 @pytest.mark.parametrize("prefix", ["tail", "musttail", "notail"])
 def test_tail_call_prefixes_are_calls(prefix):
     """A tail-call marker is dropped, so the line is a call with the call's checks."""
-    (inst,) = parse_trace(f"%t = {prefix} call i32 @f(i32 %v)", "t").instructions
-    assert inst == Instruction("call", Register("t"), (Register("v"),))
-    (inst,) = parse_trace(f"{prefix} call void @f(i32 %v)", "t").instructions
-    assert inst == Instruction("call", None, (Register("v"),))
+    assert rows(parse_trace(f"%t = {prefix} call i32 @f(i32 %v)", "t")) == [
+        ("call", ("t", ""), (("v", ""),), None)]
+    assert rows(parse_trace(f"{prefix} call void @f(i32 %v)", "t")) == [
+        ("call", None, (("v", ""),), None)]
     with pytest.raises(MalformedLine, match="void"):
         parse_trace(f"%t = {prefix} call void @f(i32 %v)", "t")
     with pytest.raises(MalformedLine, match="destination"):
         parse_trace(f"{prefix} call i32 @f(i32 %v)", "t")
     # only before `call`: otherwise the word is the opcode
-    (inst,) = parse_trace(f"%t = {prefix} add i32 %v", "t").instructions
-    assert inst.opcode == prefix
+    assert parse_trace(f"%t = {prefix} add i32 %v", "t").opcodes == (prefix,)
 
 
 def test_columns_give_one_register_per_name_and_scope():
@@ -166,22 +170,18 @@ def test_columns_give_one_register_per_name_and_scope():
             "define i32 @f(i32 %a) {\n  %x = add i32 %a, %x\n  ret i32 %x\n}\n"
             "%y = add i32 %x, %a\n")
     unit = parse_trace(text, "t")
-    assert len(unit.instructions) == 4
-    assert "registers" not in vars(unit)  # len() builds no records
-    assert sorted((r.name, r.scope) for r in unit.registers) == [
-        ("a", ""), ("a", "f"), ("x", ""), ("x", "f"), ("y", "")]
-    assert [unit.registers[d] if d >= 0 else None for d in unit.dest] == [
-        Register("x"), Register("x", "f"), None, Register("y")]
-    first, second = list(unit.instructions), list(unit.instructions)
-    assert first == second
-    # every read hands out the table's one Register per name and scope
-    for a, b in zip(first, second):
-        assert all(r is s for r, s in zip(a.sources, b.sources))
-    assert first[0].dest is second[3].sources[0] is unit.registers[unit.dest[0]]
-    assert first[1].sources[1] is first[2].sources[0] is first[1].dest
-    assert unit.instructions[-1] == first[3]
-    with pytest.raises(IndexError):
-        unit.instructions[4]
+    assert {s: sorted(ids) for s, ids in unit.scopes.items()} == {
+        "": ["a", "x", "y"], "f": ["a", "x"]}
+    ids = sorted(i for names in unit.scopes.values() for i in names.values())
+    assert ids == list(range(5))
+    assert rows(unit) == [
+        ("add", ("x", ""), (("a", ""), ("a", "")), None),
+        ("add", ("x", "f"), (("a", "f"), ("x", "f")), None),
+        ("ret", None, (("x", "f"),), None),
+        ("add", ("y", ""), (("x", ""), ("a", "")), None),
+    ]
+    assert unit.dest[0] == unit.src[-2] and unit.dest[1] == unit.src[3] == unit.src[4]
+    assert all(not c.flags.writeable for c in (unit.dest, unit.src_ptr, unit.src))
 
 
 def test_skipped_preamble_lines():
@@ -197,9 +197,7 @@ $f = comdat any
 %T = type opaque
 %x = add i32 %a, %b
 """
-    unit = parse_trace(text, "t")
-    assert len(unit.instructions) == 1
-    assert unit.instructions[0].opcode == "add"
+    assert parse_trace(text, "t").opcodes == ("add",)
 
 
 @pytest.mark.parametrize("line,fragment", [
@@ -232,34 +230,24 @@ def test_malformed_line_number():
 
 def test_unknown_opcode_keeps_registers():
     unit = parse_trace("%d = frobnicate i32 %a, [ %b, %c ]", "t")
-    (inst,) = unit.instructions
-    assert inst.opcode == "frobnicate"
-    assert inst.dest == Register("d")
-    assert inst.sources == (Register("a"), Register("b"), Register("c"))
+    assert rows(unit) == [("frobnicate", ("d", ""), (("a", ""), ("b", ""), ("c", "")), None)]
 
 
 def test_llvm_style_zext_falls_back():
     # the trailing 'to <ty>' of LLVM's form holds no register
     unit = parse_trace("%d = zext i32 %a to i64", "t")
-    (inst,) = unit.instructions
-    assert inst.opcode == "zext"
-    assert inst.sources == (Register("a"),)
+    assert rows(unit) == [("zext", ("d", ""), (("a", ""),), None)]
 
 
 def test_addr_only_on_memory_ops():
-    unit = parse_trace("%x = add i32 %a, %b ; addr=0xff", "t")
-    assert unit.instructions[0].mem_addr is None
-    unit = parse_trace("store i64 %a, i64* %p ; addr=0xff", "t")
-    assert unit.instructions[0].mem_addr == 0xFF
+    assert parse_trace("%x = add i32 %a, %b ; addr=0xff", "t").mem_addr == {}
+    assert parse_trace("store i64 %a, i64* %p ; addr=0xff", "t").mem_addr == {0: 0xFF}
 
 
 def test_branch_forms():
-    u = parse_trace("br label %loop", "t")
-    assert u.instructions[0].sources == (Register("loop"),)
-    u = parse_trace("br i1 %c, label %a, label %b", "t")
-    assert len(u.instructions[0].sources) == 3
-    u = parse_trace("ret void", "t")
-    assert u.instructions[0].sources == ()
+    assert rows(parse_trace("br label %loop", "t"))[0][2] == (("loop", ""),)
+    assert len(rows(parse_trace("br i1 %c, label %a, label %b", "t"))[0][2]) == 3
+    assert rows(parse_trace("ret void", "t"))[0][2] == ()
 
 
 # --- property tests -------------------------------------------------------
@@ -308,7 +296,7 @@ def _opcode_of(line):
 def test_indices_are_dense(lines):
     # every generated line is one instruction, so node i is line i
     unit = parse_trace("\n".join(lines), "prop")
-    assert [i.opcode for i in unit.instructions] == [_opcode_of(line) for line in lines]
+    assert list(unit.opcodes) == [_opcode_of(line) for line in lines]
 
 
 _VALUE_OPCODES = sorted(ir.BINARY_OPCODES | {"load", "getelementptr", "alloca"})
@@ -330,9 +318,9 @@ def test_sources_are_every_register_right_of_the_opcode(opcode, operands, valued
     if opcode == "call":
         rest = f"{'i32' if valued else 'void'} @f({rest})"
     line = ("%d = " if valued else "") + f"{opcode} {rest}"
-    (inst,) = parse_trace(line, "prop").instructions
-    assert [r.name for r in inst.sources] == [t[1:] for t in operands if t.startswith("%")]
-    assert (inst.opcode, inst.dest) == (opcode, Register("d") if valued else None)
+    ((op, dest, sources, _),) = rows(parse_trace(line, "prop"))
+    assert [name for name, _ in sources] == [t[1:] for t in operands if t.startswith("%")]
+    assert (op, dest) == (opcode, ("d", "") if valued else None)
 
 
 _FRAGMENTS = ["%a", "%b", " = ", ", ", "add", "icmp", "slt", "load", "store",
@@ -350,4 +338,4 @@ def test_arbitrary_text_raises_only_malgraph_errors(parts):
         unit = parse_trace(text, "fuzz")
     except MalgraphError:
         return
-    assert unit.instructions  # an empty parse raises EmptyUnit
+    assert unit.opcodes  # an empty parse raises EmptyUnit

@@ -17,6 +17,7 @@ from malgraph.errors import (
     IoError,
     MalformedFile,
     MalgraphError,
+    NonFiniteScores,
     SingleClass,
     TooFewSamples,
 )
@@ -24,6 +25,7 @@ from malgraph.ir import parse_trace
 from malgraph.pipeline import (
     HISTORY_CSV_HEADER,
     SCORE_ROWS,
+    THRESHOLD,
     EpochStats,
     Manifest,
     ManifestEntry,
@@ -460,7 +462,7 @@ def test_eval_per_family(tmp_path):
     assert sum(v["samples"] for v in report.per_family.values()) == len(manifest)
     for v in report.per_family.values():
         assert 0 <= v["acc"] <= 1
-    assert report.threshold == 0.5
+    assert THRESHOLD == 0.5
     assert report.auroc is not None and 0 <= report.auroc <= 1
 
 
@@ -518,6 +520,25 @@ def test_scoring_runs_consecutive_blocks_of_at_most_score_rows(monkeypatch):
     assert np.array_equal(scores, want)  # bit for bit
     assert score_samples(params, []).shape == (0,)
     assert len(blocks) == 6  # no forward for an empty list
+
+
+def test_scoring_counts_every_non_finite_score(monkeypatch):
+    """Scoring finishes every block, then reports all the graphs it lost."""
+    rng = np.random.default_rng(37)
+    arch = ArchConfig(vocab_size=7, embed_dim=6, hidden_dim=5, num_sage_layers=2)
+    params = init_params(arch, 1)
+    params.embed_W[:] = 1e308
+    samples = random_samples(rng, [3, 4, 5, 6, 7], arch.vocab_size)
+    blocks = []
+    real_forward = pipeline.forward
+    monkeypatch.setattr(pipeline, "SCORE_ROWS", 8)
+    monkeypatch.setattr(pipeline, "forward",
+                        lambda p, b, **kw: blocks.append(b) or real_forward(p, b, **kw))
+    with np.errstate(all="ignore"), pytest.raises(NonFiniteScores) as e:
+        score_samples(params, samples)
+    assert len(blocks) == 4
+    assert (e.value.bad, e.value.total) == (5, 5)
+    assert str(e.value) == "5 of 5 scores are not finite"
 
 
 @pytest.mark.parametrize("graphs", [30, 120])

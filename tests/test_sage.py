@@ -1,6 +1,7 @@
 """Network-core tests: FD gradient oracle, naive-loop forward oracle, optimizer."""
 
 import copy
+import hashlib
 import json
 import math
 import re
@@ -117,6 +118,30 @@ def test_init_biases_zero_and_glorot_bound():
     lim0 = math.sqrt(6 / (2 * 2 + 3))
     assert np.all(np.abs(p.sage_W[0]) <= lim0)
     assert np.all(np.abs(p.out_W) <= math.sqrt(6 / 4))
+
+
+# sha256 prefixes of model_to_json(init_params(arch, 3), VOCAB5), recorded when
+# init_params filled each tensor by hand; filling them from the shape table
+# must draw the same numbers in the same order
+INIT_MODEL_SHA256 = {
+    (True, 4, 8): "1abf00a06ae01ad4",
+    (True, 4, 128): "5e6bd2ddca9d4b55",
+    (True, 6, 8): "e89896b7754033cd",
+    (True, 6, 128): "59b33b340f1debb2",
+    (False, 4, 8): "8ffffa1462e580d9",
+    (False, 4, 128): "fd1e78b13c3df774",
+    (False, 6, 8): "b75422e52728656e",
+    (False, 6, 128): "75992c674edea1a7",
+}
+
+
+@pytest.mark.parametrize("embed,layers,hidden", sorted(INIT_MODEL_SHA256))
+def test_init_model_bytes_are_pinned(embed, layers, hidden):
+    arch = ArchConfig(vocab_size=5, embed_dim=hidden, hidden_dim=hidden,
+                      num_sage_layers=layers, use_embedding=embed)
+    data = model_to_json(init_params(arch, 3), VOCAB5)
+    assert hashlib.sha256(data).hexdigest()[:16] == INIT_MODEL_SHA256[embed, layers, hidden]
+    assert model_to_json(*model_from_json(data)) == data
 
 
 def test_arch_validation():
