@@ -13,6 +13,10 @@ come from a bit-parallel breadth-first search (Akiba, Iwata & Yoshida, SIGMOD
 2013): bit s of a node's word holds whether source s is within k hops, so one
 OR over each node's arcs, its own loop included, takes 64 sources a level
 further per word.  Reach counts and distance sums are exact integers.
+
+scipy.sparse is imported inside `GraphSample.agg`, the one function here that
+builds a sparse matrix, rather than at module level: the topology features and
+the commands that run no model (`corpus`, `compile`, `features`) never load it.
 """
 
 from __future__ import annotations
@@ -21,12 +25,15 @@ import csv
 import io
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import EmptyDataset, EmptyGraph
 from .depgraph import DepGraph
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 UNK = "<unk>"
 
@@ -88,6 +95,8 @@ class GraphSample:
         a self-loop included; duplicate and reversed edges count once, and an
         isolated node's row is zero.  Columns are sorted within each row.
         """
+        import scipy.sparse as sp
+
         n = self.num_nodes
         row, col = _undirected_arcs(self.edge_index, n)
         deg = np.bincount(row, minlength=n)

@@ -4,17 +4,22 @@ Reads SSA-style text, one instruction per line, in two flavours: static
 ``.ll``-like files with ``define``/block structure, and flat dynamic trace
 files where the same register name may be redefined.  After comment stripping
 each instruction line has the form ``[%D =] <opcode> <operands>``, with an
-optional trailing ``; addr=0x<hex>`` that load and store keep.  The opcode is
-read lower-case, and a ``tail``, ``musttail`` or ``notail`` before ``call``
-is dropped, so those lines are calls.
+optional trailing ``; addr=0x<hex>`` that load and store keep.  An
+instruction line that ends in ``[`` runs on through the next line that ends
+in ``]``, and those lines are read as one instruction: that is how LLVM
+prints a ``switch`` jump table.  The opcode is read lower-case, and a
+``tail``, ``musttail`` or ``notail`` before ``call`` is dropped, so those
+lines are calls.
 
 One rule gives the sources: every ``%`` register token right of the opcode,
 in order.  Operands, branch labels and named types (``%struct.S``) all count;
 other type tokens are not kept, since graph nodes carry opcodes.  The
 destination ``%D`` must agree with the opcode: ``store``, ``br`` and ``ret``
 never have one; ``BINARY_OPCODES``, ``load``, ``getelementptr`` and
-``alloca`` always do; a ``call`` has one unless its return token, the text
-before the first ``(`` or ``@``, is ``void``.
+``alloca`` always do; a ``call`` has one unless ``void`` is one of the
+whitespace tokens before the first ``(`` or ``@``, where the return type
+stands among any calling convention and attributes and before a
+constant-expression or ``asm`` callee.
 
 ``define ... @name(...) {`` and ``}`` delimit a function, whose registers form
 their own scope.  Block labels, named-type definitions (``%T = type ...``)
@@ -95,6 +100,11 @@ def _malformed(line: str, line_no: int) -> MalformedLine:
     return MalformedLine(line_no, f"expected an opcode, got {rhs!r}")
 
 
+def _unclosed(line_no: int) -> MalformedLine:
+    """The error for a ``[`` that no line ending in ``]`` closes."""
+    return MalformedLine(line_no, "'[' is not closed by a line ending in ']'")
+
+
 def parse_trace(text: str, origin) -> TraceUnit:
     """Parse a static ``.ll``-style file or a flat dynamic trace into a TraceUnit.
 
@@ -107,6 +117,7 @@ def parse_trace(text: str, origin) -> TraceUnit:
     new_id = itertools.count().__next__
     ids = defaultdict(new_id)  # register name -> id, in the current scope
     scopes = {"": ids}
+    table = None  # [line number, text so far] of an instruction whose `[` is open
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         addr = None
@@ -120,13 +131,23 @@ def parse_trace(text: str, origin) -> TraceUnit:
         if not line:
             continue
 
-        if line[0] != "%":  # no structural line starts with %
+        if table is not None:
+            if line == "}":
+                raise _unclosed(table[0])
+            table[1] += " " + line
+            if not line.endswith("]"):
+                continue
+            (line_no, line), table = table, None
+        elif line[0] != "%":  # no structural line starts with %
             m = _DEFINE_RE.match(line)
             if m or line == "}":
                 ids = scopes.setdefault(m.group(1) if m else "", defaultdict(new_id))
                 continue
             if _LABEL_RE.match(line) or line.startswith(_SKIP_PREFIXES):
                 continue
+        if line.endswith("["):
+            table = [line_no, line]
+            continue
 
         m = _LINE_RE.match(line)
         if m is None:
@@ -141,10 +162,11 @@ def parse_trace(text: str, origin) -> TraceUnit:
         elif opcode == "type":
             continue  # a named-type definition, %T = type {...}
         if opcode == "call":
-            returns = rest.split("(", 1)[0].split("@", 1)[0].strip()
-            if returns == "void" and dest_name is not None:
+            returns = rest.split("(", 1)[0].split("@", 1)[0]
+            void = "void" in returns.split()
+            if void and dest_name is not None:
                 raise MalformedLine(line_no, "call returning void cannot have a destination")
-            if returns and returns != "void" and "%" not in returns and dest_name is None:
+            if returns.strip() and not void and "%" not in returns and dest_name is None:
                 raise MalformedLine(line_no, "non-void call requires a destination")
 
         if addr is not None and opcode in ("load", "store"):
@@ -154,6 +176,8 @@ def parse_trace(text: str, origin) -> TraceUnit:
         src.extend(map(ids.__getitem__, _REG_TOKEN.findall(rest)))
         src_ptr.append(len(src))
 
+    if table is not None:
+        raise _unclosed(table[0])
     if not opcodes:
         raise EmptyUnit(f"no instructions found in {origin}")
     columns = [np.array(c, dtype=np.int64) for c in (dest, src_ptr, src)]

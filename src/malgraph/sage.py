@@ -14,6 +14,11 @@ For training, forward keeps one row block per SAGE layer, its output h; backward
 rebuilds the input rows H_0 from the parameters and the cheap sparse mean
 (agg @ h) rather than keep them, and frees each block once it has read it for
 the last time.  For scoring (cache=False) forward keeps no layer's activations.
+
+scipy.sparse is imported inside `forward` and `backward`, which build the
+batch's mean matrix and the one-hot embedding product, rather than at module
+level, so the commands that run no model (`corpus`, `compile`, `features`)
+never load it; the first forward in a process pays for the import.
 """
 
 from __future__ import annotations
@@ -21,9 +26,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .analytics import OpVocabulary, one_hot
 from .errors import (
@@ -38,6 +43,9 @@ from .errors import (
     utf8_text,
     write_file,
 )
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 ACTIVATIONS = ("leaky_relu", "relu")
 LEAKY_SLOPE = 0.01
@@ -211,6 +219,8 @@ def forward(params: ModelParams, batch, *, cache: bool = True):
         raise VocabMismatch(
             f"node op index {int(idx.max())} outside vocabulary of size {arch.vocab_size}")
 
+    import scipy.sparse as sp
+
     h = _input_rows(params, idx)
     agg = sp.block_diag([s.agg for s in batch], format="csr")
     hs = []
@@ -292,6 +302,8 @@ def backward(params: ModelParams, cache: ForwardCache, labels):
         del back
 
     if arch.use_embedding:
+        import scipy.sparse as sp
+
         dz0 = _act_backward(h, dh, kind)
         grads["embed_b"] = dz0.sum(axis=0)
         # row r of dz0 adds to row idx[r], in row order: a one-hot (rows × vocab) product

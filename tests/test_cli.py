@@ -1,11 +1,15 @@
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import pytest
 
+import malgraph
 from malgraph import cli, corpus, pipeline
 from malgraph.cli import main
 from malgraph.depgraph import from_json, to_json
@@ -721,6 +725,37 @@ def test_features_with_both_inputs_is_usage_error(trained, tmp_path, capsys):
     code, _, _ = run(["features", g, "--manifest",
                       trained / "c" / "manifest.jsonl"], capsys)
     assert code == 2
+
+
+# ---------------------------------------------------------------- imports
+
+IMPORT_BOUNDARY = """
+import sys
+from malgraph.cli import main
+
+out = sys.argv[1]
+assert main(["corpus", "--out", f"{out}/c", "--benign", "6", "--malicious", "6",
+             "--seed", "3"]) == 0
+assert main(["compile", f"{out}/c/traces", "--out", f"{out}/g"]) == 0
+assert main(["features", "--manifest", f"{out}/c/manifest.jsonl", "--csv", f"{out}/f.csv"]) == 0
+assert "scipy.sparse" not in sys.modules, "corpus, compile or features loaded scipy.sparse"
+assert main(["train", "--manifest", f"{out}/c/manifest.jsonl", "--out", f"{out}/m.json",
+             "--epochs", "1", "--hidden", "4", "--layers", "4"]) == 0
+assert "scipy.sparse" in sys.modules, "train ran without scipy.sparse"
+"""
+
+
+def test_only_a_model_loads_scipy_sparse(tmp_path):
+    """corpus, compile and features never import scipy.sparse; train does.
+
+    The commands run in a fresh interpreter, since this one has it loaded."""
+    src = str(Path(malgraph.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", IMPORT_BOUNDARY, str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "f.csv").exists() and (tmp_path / "m.json").exists()
 
 
 # ---------------------------------------------------------------- help

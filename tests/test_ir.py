@@ -165,6 +165,58 @@ def test_tail_call_prefixes_are_calls(prefix):
     assert parse_trace(f"%t = {prefix} add i32 %v", "t").opcodes == (prefix,)
 
 
+@pytest.mark.parametrize("call", [
+    "call fastcc void @f(i32 %a)",
+    "call void bitcast (void (...)* @g to void (i32)*)(i32 %a)",
+    'call void asm sideeffect "nop", "r"(i32 %a)',
+])
+def test_void_among_the_tokens_before_the_callee(call):
+    """A calling convention, a constant-expression callee or inline asm may
+    stand beside `void`; the call is still valueless."""
+    assert rows(parse_trace(call, "t")) == [("call", None, (("a", ""),), None)]
+    with pytest.raises(MalformedLine, match="call returning void cannot have a destination"):
+        parse_trace(f"%r = {call}", "t")
+
+
+def test_multi_line_switch_is_one_instruction():
+    """LLVM prints a jump table over several lines; its sources are the
+    condition, the default label and the case labels."""
+    text = """\
+define i32 @f(i32 %op) {
+entry:
+  switch i32 %op, label %d [   ; the jump table
+    i32 0, label %a
+    i32 1, label %b
+  ]
+a:
+  ret i32 %op
+}
+"""
+    unit = parse_trace(text, "t")
+    assert rows(unit) == [
+        ("switch", None, (("op", "f"), ("d", "f"), ("a", "f"), ("b", "f")), None),
+        ("ret", None, (("op", "f"),), None),
+    ]
+    assert unit.scopes["f"] == {"op": 0, "d": 1, "a": 2, "b": 3}
+
+
+def test_lines_after_a_switch_keep_their_numbers():
+    text = "switch i32 %op, label %d [\n  i32 0, label %a\n]\n%bad\n"
+    with pytest.raises(MalformedLine) as exc:
+        parse_trace(text, "t")
+    assert exc.value.line_no == 4
+
+
+@pytest.mark.parametrize("text", [
+    "define void @f(i32 %op) {\n  switch i32 %op, label %d [\n    i32 0, label %a\n}\n",
+    "%x = add i32 %a, %b\nswitch i32 %op, label %d [\n  i32 0, label %a\n",
+])
+def test_unclosed_jump_table_names_the_line_of_its_bracket(text):
+    with pytest.raises(MalformedLine, match=r"'\[' is not closed") as exc:
+        parse_trace(text, "t")
+    assert exc.value.line_no == 2
+
+
 def test_columns_give_one_register_per_name_and_scope():
     text = ("%x = add i32 %a, %a\n"
             "define i32 @f(i32 %a) {\n  %x = add i32 %a, %x\n  ret i32 %x\n}\n"
@@ -318,6 +370,8 @@ def test_sources_are_every_register_right_of_the_opcode(opcode, operands, valued
     if opcode == "call":
         rest = f"{'i32' if valued else 'void'} @f({rest})"
     line = ("%d = " if valued else "") + f"{opcode} {rest}"
+    if line.endswith("["):
+        line += "\n]"  # the `[` opens a table that runs on to a line ending in `]`
     ((op, dest, sources, _),) = rows(parse_trace(line, "prop"))
     assert [name for name, _ in sources] == [t[1:] for t in operands if t.startswith("%")]
     assert (op, dest) == (opcode, ("d", "") if valued else None)
