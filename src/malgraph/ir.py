@@ -7,7 +7,10 @@ each instruction line has the form ``[%D =] <opcode> <operands>``, with an
 optional trailing ``; addr=0x<hex>`` that load and store keep.  An
 instruction line that ends in ``[`` runs on through the next line that ends
 in ``]``, and those lines are read as one instruction: that is how LLVM
-prints a ``switch`` jump table.  The opcode is read lower-case, and a
+prints a ``switch`` jump table.  A line that starts with ``to`` right after
+an ``invoke`` or ``callbr`` continues it (``to label %ok unwind label
+%lpad``), and the ``cleanup``, ``catch`` and ``filter`` clause lines of a
+``landingpad`` make no instruction.  The opcode is read lower-case, and a
 ``tail``, ``musttail`` or ``notail`` before ``call`` is dropped, so those
 lines are calls.
 
@@ -85,6 +88,10 @@ _DEFINE_RE = re.compile(r"^define\b.*?@([\w.$-]+)\s*\((.*?)\)")
 _LABEL_RE = re.compile(r"^([\w.$-]+):\s*$")
 
 _SKIP_PREFIXES = ("target ", "source_filename", "declare ", "attributes ", "@", "!", "$")
+# landingpad clause lines, besides `cleanup` alone
+_CLAUSE_PREFIXES = ("catch ", "filter ")
+# the opcodes whose destination labels LLVM prints on a next line that starts with `to`
+_TO_OPCODES = frozenset({"invoke", "callbr"})
 
 
 def _malformed(line: str, line_no: int) -> MalformedLine:
@@ -143,7 +150,12 @@ def parse_trace(text: str, origin) -> TraceUnit:
             if m or line == "}":
                 ids = scopes.setdefault(m.group(1) if m else "", defaultdict(new_id))
                 continue
-            if _LABEL_RE.match(line) or line.startswith(_SKIP_PREFIXES):
+            if (_LABEL_RE.match(line) or line.startswith(_SKIP_PREFIXES)
+                    or line == "cleanup" or line.startswith(_CLAUSE_PREFIXES)):
+                continue
+            if line.startswith("to ") and opcodes and opcodes[-1] in _TO_OPCODES:
+                src.extend(map(ids.__getitem__, _REG_TOKEN.findall(line)))
+                src_ptr[-1] = len(src)
                 continue
         if line.endswith("["):
             table = [line_no, line]

@@ -60,9 +60,11 @@ HISTORY_CSV_HEADER = "epoch,train_loss,test_acc,test_auroc"
 # a score at or above this is a malicious verdict
 THRESHOLD = 0.5
 
-# node rows per scoring forward; a graph's score can move in its last bit with
-# the rows it shares a forward with (the readout product), so changing this
-# needs the pinned score digests checked again
+# node rows per scoring forward.  It fixes which graphs share a readout
+# product, in which a graph's score can move in its last bit with the graphs
+# beside it, so changing it needs the pinned score digests checked again.  It
+# also bounds the one row block a scoring forward keeps, its H_L: the layers
+# below run on tiles of sage.TILE_ROWS rows.
 SCORE_ROWS = 4096
 
 
@@ -290,6 +292,7 @@ def score_samples(params: ModelParams, samples) -> np.ndarray:
         scores, cache = forward(params, samples[lo:hi], cache=False)
         bad += np.count_nonzero(~(np.isfinite(cache.pooled).all(axis=1) & np.isfinite(scores)))
         chunks.append(scores)
+        del cache  # its H_L block, before the next forward allocates one
         lo = hi
     if bad:
         raise NonFiniteScores(bad, len(samples))

@@ -10,10 +10,22 @@ All math is float64 and hand-differentiated; gradients are validated against
 central finite differences in the test suite.  N(v) is v's full undirected
 neighbour set, so a forward pass is deterministic; each sample carries its
 mean matrix (`GraphSample.agg`), and a batch's matrix is their block diagonal.
+
+Forward cuts the batch into tiles of consecutive whole graphs, each closed
+once it holds TILE_ROWS node rows, a shorter remainder joining the last tile.
+No graph reads another's rows, so each tile runs every layer and its pooling
+while it is in cache.  The bits are those of one pass over the whole batch:
+a row of the mean product or of a pooling sum adds the same terms in the same
+order, and a dgemm row does not depend on the other rows of the product once
+there are two or more (measured with OpenBLAS at outputs 8 to 128 wide; 256
+wide needs eight); a tile holds fewer than TILE_ROWS rows only when it is
+the whole batch.  The readout stays one product over the batch's pooled rows.
+
 For training, forward keeps one row block per SAGE layer, its output h; backward
 rebuilds the input rows H_0 from the parameters and the cheap sparse mean
 (agg @ h) rather than keep them, and frees each block once it has read it for
-the last time.  For scoring (cache=False) forward keeps no layer's activations.
+the last time.  For scoring (cache=False) forward keeps H_L alone, the layers
+below it running on tile-sized temporaries.
 
 scipy.sparse is imported inside `forward` and `backward`, which build the
 batch's mean matrix and the one-hot embedding product, rather than at module
@@ -49,6 +61,8 @@ if TYPE_CHECKING:
 
 ACTIVATIONS = ("leaky_relu", "relu")
 LEAKY_SLOPE = 0.01
+# forward closes a tile of whole graphs once it holds this many node rows
+TILE_ROWS = 512
 
 
 @dataclass(frozen=True)
@@ -156,16 +170,17 @@ def _act_backward(h: np.ndarray, dh: np.ndarray, kind: str) -> np.ndarray:
     return np.multiply(dh, np.maximum(h > 0, LEAKY_SLOPE), out=dh)
 
 
-def _input_rows(params: ModelParams, idx: np.ndarray) -> np.ndarray:
-    """H_0, each row's embedded (or one-hot) opcode.
+def _input_table(params: ModelParams) -> np.ndarray:
+    """The vocabulary table whose row op is the input row of a node of opcode op.
 
-    The activation runs over the vocabulary-row table before the gather; as
-    it is elementwise, the rows equal act(embed_W[idx] + embed_b) bit for bit.
+    That is act(embed_W + embed_b), or the identity for one-hot input, so H_0
+    is table[idx]; as the activation is elementwise, those rows equal
+    act(embed_W[idx] + embed_b) bit for bit.
     """
     arch = params.arch
     if arch.use_embedding:
-        return _act(params.embed_W + params.embed_b, arch.activation)[idx]
-    return one_hot(idx, arch.vocab_size)
+        return _act(params.embed_W + params.embed_b, arch.activation)
+    return one_hot(np.arange(arch.vocab_size), arch.vocab_size)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -199,11 +214,31 @@ class ForwardCache:
     for_backward: bool
 
 
+def _tiles(counts: np.ndarray) -> list:
+    """Graph indices at which the tiles of a batch start, then the batch's length.
+
+    A tile is a run of consecutive whole graphs that closes once it holds at
+    least TILE_ROWS rows; a shorter remainder joins the last tile, so every
+    tile holds at least min(TILE_ROWS, batch rows) rows.
+    """
+    rows = np.concatenate([[0], np.cumsum(counts)])
+    cuts = [0]
+    while True:
+        g = int(np.searchsorted(rows, rows[cuts[-1]] + TILE_ROWS))
+        if g >= len(counts) or rows[-1] - rows[g] < TILE_ROWS:
+            return cuts + [len(counts)]
+        cuts.append(g)
+
+
 def forward(params: ModelParams, batch, *, cache: bool = True):
     """Score a batch of GraphSamples; returns (scores, ForwardCache).
 
-    `backward` needs cache=True.  With cache=False no layer's activations
-    outlive the next layer, so scoring holds a few row blocks at a time.
+    The batch runs tile by tile (`_tiles`, and the module docs for why the
+    bits are those of one pass): a tile reads its rows of the input table and
+    its diagonal block of the batch's mean matrix, and writes each layer's
+    output into that layer's full-rows block.  `backward` needs cache=True.
+    With cache=False only H_L has a full-rows block and the layers below it
+    use tile-sized temporaries, so scoring holds one row block and a tile.
     """
     batch = list(batch)
     if not batch:
@@ -213,7 +248,7 @@ def forward(params: ModelParams, batch, *, cache: bool = True):
     arch = params.arch
 
     counts = np.array([s.num_nodes for s in batch])
-    offsets = np.concatenate([[0], np.cumsum(counts)[:-1]]).astype(int)
+    offsets = np.concatenate([[0], np.cumsum(counts)])  # each graph's first row, then the total
     idx = np.concatenate([np.asarray(s.node_ops, dtype=np.intp) for s in batch])
     if idx.max() >= arch.vocab_size:
         raise VocabMismatch(
@@ -221,23 +256,26 @@ def forward(params: ModelParams, batch, *, cache: bool = True):
 
     import scipy.sparse as sp
 
-    h = _input_rows(params, idx)
+    table = _input_table(params)
     agg = sp.block_diag([s.agg for s in batch], format="csr")
-    hs = []
-    for w, b in zip(params.sage_W, params.sage_b):
-        x = np.concatenate([h, agg @ h], axis=1)
-        del h  # x holds a copy
-        h = x @ w
-        del x
-        h += b
-        _act(h, arch.activation)
-        if cache:
-            hs.append(h)
-
-    pooled = np.add.reduceat(h, offsets, axis=0) / counts[:, None]
+    layers = arch.num_sage_layers
+    # H_1 .. H_L with the cache on, H_L alone with it off: hs[k - layers] is H_{k+1}
+    hs = [np.empty((len(idx), arch.hidden_dim)) for _ in range(layers if cache else 1)]
+    pooled = np.empty((len(batch), arch.hidden_dim))
+    cuts = _tiles(counts)
+    for g0, g1 in zip(cuts, cuts[1:]):
+        a, b = offsets[g0], offsets[g1]
+        tile_agg = agg[a:b, a:b]
+        h = table[idx[a:b]]
+        for k, (w, bias) in enumerate(zip(params.sage_W, params.sage_b)):
+            x = np.concatenate([h, tile_agg @ h], axis=1)
+            h = np.matmul(x, w, out=hs[k - layers][a:b] if cache or k == layers - 1 else None)
+            h += bias
+            _act(h, arch.activation)
+        np.divide(np.add.reduceat(h, offsets[g0:g1] - a, axis=0), counts[g0:g1, None],
+                  out=pooled[g0:g1])
     scores = _sigmoid(pooled @ params.out_W + params.out_b)
-    return scores, ForwardCache(params, scores, pooled, counts, idx, agg,
-                                hs if cache else [h], for_backward=cache)
+    return scores, ForwardCache(params, scores, pooled, counts, idx, agg, hs, for_backward=cache)
 
 
 CLAMP_LO = 1e-12
@@ -285,7 +323,7 @@ def backward(params: ModelParams, cache: ForwardCache, labels):
     for k in reversed(range(arch.num_sage_layers)):
         # layer k's output H_{k+1} = hs[k] has no reader after its mask; H_1 stays
         dz = _act_backward(hs.pop() if k else hs[0], dh, kind)
-        h = hs[k - 1] if k else _input_rows(params, cache.idx)
+        h = hs[k - 1] if k else _input_table(params)[cache.idx]
         w = params.sage_W[k]
         d_in = h.shape[1]
         dw = np.empty_like(w)

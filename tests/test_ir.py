@@ -1,10 +1,13 @@
 """Frontend tests: line grammar, structure, and register bookkeeping."""
 
+import pathlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from malgraph import ir
+from malgraph.depgraph import build_graph
 from malgraph.errors import EmptyUnit, MalformedLine, MalgraphError
 from malgraph.ir import parse_trace
 
@@ -215,6 +218,54 @@ def test_unclosed_jump_table_names_the_line_of_its_bracket(text):
     with pytest.raises(MalformedLine, match=r"'\[' is not closed") as exc:
         parse_trace(text, "t")
     assert exc.value.line_no == 2
+
+
+FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+
+
+def regs(scope, *names):
+    return tuple((name, scope) for name in names)
+
+
+def test_invoke_and_landingpad_continuation_lines_make_no_node():
+    """An invoke's `to ... unwind ...` line adds its labels to the invoke's
+    sources, as br's labels are; a landingpad's clause lines are skipped."""
+    unit = parse_trace((FIXTURES / "invoke.ll").read_text(), "invoke.ll")
+    assert rows(unit) == [
+        ("invoke", ("r", "main"), regs("main", "x", "ok", "lpad"), None),
+        ("ret", None, regs("main", "r"), None),
+        ("landingpad", ("lp", "main"), (), None),
+        ("extractvalue", ("v", "main"), regs("main", "lp"), None),
+        ("ret", None, regs("main", "v"), None),
+    ]
+    assert build_graph(unit).edge_index.T.tolist() == [[0, 1], [2, 3], [3, 4]]
+
+
+def test_callbr_continues_and_funclet_instructions_stay():
+    """callbr's labels continue on a `to` line as invoke's do; a `filter`
+    clause is skipped, and the instructions whose names begin like a clause
+    keyword stay instructions."""
+    text = """\
+define void @f(i32 %x) {
+entry:
+  callbr void asm "", "r,X"(i32 %x, i8* blockaddress(@f, %b))
+          to label %a [label %b]
+b:
+  %lp = landingpad { i8*, i32 }
+          filter [0 x i8*] zeroinitializer
+  cleanupret from %cp unwind to caller
+  catchret from %c to label %a
+a:
+  ret void
+}
+"""
+    assert rows(parse_trace(text, "t")) == [
+        ("callbr", None, regs("f", "x", "b", "a", "b"), None),
+        ("landingpad", ("lp", "f"), (), None),
+        ("cleanupret", None, regs("f", "cp"), None),
+        ("catchret", None, regs("f", "c", "a"), None),
+        ("ret", None, (), None),
+    ]
 
 
 def test_columns_give_one_register_per_name_and_scope():
