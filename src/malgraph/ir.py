@@ -25,9 +25,11 @@ stands among any calling convention and attributes and before a
 constant-expression or ``asm`` callee.
 
 ``define ... @name(...) {`` and ``}`` delimit a function, whose registers form
-their own scope.  Block labels, named-type definitions (``%T = type ...``)
-and preamble/metadata lines (``target``, ``declare``, ``@`` globals, ``!``
-metadata, ``attributes``, ``source_filename``) are skipped.
+their own scope, keyed by the name as written (``@"odd name"`` gives the
+scope ``"odd name"``, quotes kept).  Block labels, named-type definitions
+(``%T = type ...``) and preamble/metadata lines (``target``, ``declare``,
+``@`` globals, ``!`` metadata, ``attributes``, ``source_filename``) are
+skipped.
 
 A parse gives columns, not records.  Each register name in each function
 scope gets one id, ``scopes[scope][name]``; the ids of all scopes together
@@ -84,7 +86,8 @@ _LINE_RE = re.compile(r"(?:%([\w.$-]+)\s*=\s*)?(?i:(?:must|no)?tail\s+(?=call\b(
                       r"([a-z][\w.]*)\b\s*(.*)")
 _DEST_RE = re.compile(r"^%([\w.$-]+)\s*=\s*(.*)$")
 _ADDR_ANNOT = re.compile(r";\s*addr=0x([0-9a-fA-F]+)\s*$")
-_DEFINE_RE = re.compile(r"^define\b.*?@([\w.$-]+)\s*\((.*?)\)")
+# a function name, quoted (`@"odd name"`) or not; scopes key names as written
+_DEFINE_RE = re.compile(r'^define\b.*?@("[^"]*"|[\w.$-]+)\s*\((.*?)\)')
 _LABEL_RE = re.compile(r"^([\w.$-]+):\s*$")
 
 _SKIP_PREFIXES = ("target ", "source_filename", "declare ", "attributes ", "@", "!", "$")

@@ -24,8 +24,15 @@ the whole batch.  The readout stays one product over the batch's pooled rows.
 For training, forward keeps one row block per SAGE layer, its output h; backward
 rebuilds the input rows H_0 from the parameters and the cheap sparse mean
 (agg @ h) rather than keep them, and frees each block once it has read it for
-the last time.  For scoring (cache=False) forward keeps H_L alone, the layers
-below it running on tile-sized temporaries.
+the last time.  Backward runs forward's tiles too: only the products that sum
+over every row of the batch (the weight gradients, the bias sums, the
+embedding's one-hot product) run whole-batch, while each layer's mask, its
+agg @ h and its input gradient, which reads the transpose of the tile's
+diagonal block, go tile by tile, for the same bit-for-bit reasons.  So a
+default training step peaks at the L - 1 lower layers' blocks, dz, one
+agg @ h block that then takes the input gradient, and a tile's temporaries.
+For scoring (cache=False) forward keeps H_L alone, the layers below it
+running on tile-sized temporaries.
 
 scipy.sparse is imported inside `forward` and `backward`, which build the
 batch's mean matrix and the one-hot embedding product, rather than at module
@@ -198,9 +205,10 @@ class ForwardCache:
 
     With the cache on, hs holds H_1 .. H_L, each SAGE layer's output, one row
     block per layer; the input rows H_0 are rebuilt from the parameters when
-    needed.  backward releases H_2 .. H_L as it goes and leaves hs == [H_1],
-    so the cache serves one backward only.  With the cache off, hs holds only
-    H_L, which pooling reads anyway.  `for_backward` says whether backward may
+    needed.  backward releases each of H_2 .. H_L once it has masked its
+    layer's gradient with it, tile by tile, and leaves hs == [H_1], so the
+    cache serves one backward only.  With the cache off, hs holds only H_L,
+    which pooling reads anyway.  `for_backward` says whether backward may
     still read the cache.
     """
 
@@ -292,6 +300,10 @@ def backward(params: ModelParams, cache: ForwardCache, labels):
     """Mean binary cross-entropy and its exact gradients; returns (loss, grads).
 
     Reads the cache once: it releases all of cache.hs but H_1 on the way.
+    The weight gradients are whole-batch products; the rest runs over the
+    tiles of `_tiles(cache.counts)`, forward's tiles (see the module docs),
+    so besides the cache a layer holds dz, one agg @ h block, which then
+    takes the layer's input gradient, and a tile's temporaries.
     """
     if cache.params is not params:
         raise CacheMismatch("cache was produced by different parameters")
@@ -315,40 +327,49 @@ def backward(params: ModelParams, cache: ForwardCache, labels):
 
     grads = {"out_W": cache.pooled.T @ dz_out, "out_b": np.sum(dz_out)}
     d_pooled = np.outer(dz_out, params.out_W)
-    dh = np.repeat(d_pooled / cache.counts[:, None], cache.counts, axis=0)
+    dz = np.repeat(d_pooled / cache.counts[:, None], cache.counts, axis=0)
+
+    # forward's tiles, each with its diagonal block of the mean matrix
+    bounds = np.concatenate([[0], np.cumsum(cache.counts)])[_tiles(cache.counts)]
+    tiles = [(a, b, cache.agg[a:b, a:b]) for a, b in zip(bounds, bounds[1:])]
+    kind = arch.activation
+    hs = cache.hs
+    for a, b, _ in tiles:
+        _act_backward(hs[-1][a:b], dz[a:b], kind)
 
     # each layer's weights split into the halves that multiply h and agg @ h
-    kind = arch.activation
-    hs, agg, agg_t = cache.hs, cache.agg, cache.agg.T.tocsr()
     for k in reversed(range(arch.num_sage_layers)):
-        # layer k's output H_{k+1} = hs[k] has no reader after its mask; H_1 stays
-        dz = _act_backward(hs.pop() if k else hs[0], dh, kind)
+        del hs[max(k, 1):]  # layer k's output has no reader once masked; H_1 stays
         h = hs[k - 1] if k else _input_table(params)[cache.idx]
         w = params.sage_W[k]
         d_in = h.shape[1]
+        m = np.empty_like(h)
+        for a, b, tile_agg in tiles:
+            m[a:b] = tile_agg @ h[a:b]
         dw = np.empty_like(w)
         np.matmul(h.T, dz, out=dw[:d_in])
-        np.matmul((agg @ h).T, dz, out=dw[d_in:])
+        np.matmul(m.T, dz, out=dw[d_in:])
         grads[f"sage_W.{k}"] = dw
         grads[f"sage_b.{k}"] = dz.sum(axis=0)
         if k == 0 and not arch.use_embedding:
             break  # the one-hot input has no gradient
-        back = agg_t @ (dz @ w[d_in:].T)
-        dh = dz @ w[:d_in].T
-        del dz
-        dh += back
-        del back
+        # agg @ h is read; its block takes d loss / d h, then layer k - 1's dz
+        # (h = H_k is that layer's output, or act(embed) for k = 0)
+        for a, b, tile_agg in tiles:
+            dh = np.matmul(dz[a:b], w[:d_in].T, out=m[a:b])
+            dh += tile_agg.T @ (dz[a:b] @ w[d_in:].T)
+            _act_backward(h[a:b], dh, kind)
+        dz = m
 
     if arch.use_embedding:
         import scipy.sparse as sp
 
-        dz0 = _act_backward(h, dh, kind)
-        grads["embed_b"] = dz0.sum(axis=0)
-        # row r of dz0 adds to row idx[r], in row order: a one-hot (rows × vocab) product
+        grads["embed_b"] = dz.sum(axis=0)
+        # row r of dz adds to row idx[r], in row order: a one-hot (rows × vocab) product
         rows = len(cache.idx)
         one_hot_rows = sp.csr_matrix((np.ones(rows), cache.idx, np.arange(rows + 1)),
                                      shape=(rows, arch.vocab_size))
-        grads["embed_W"] = one_hot_rows.T @ dz0
+        grads["embed_W"] = one_hot_rows.T @ dz
 
     grads["out_b"] = np.asarray(grads["out_b"])
     return loss, grads

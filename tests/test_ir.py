@@ -287,6 +287,22 @@ def test_columns_give_one_register_per_name_and_scope():
     assert all(not c.flags.writeable for c in (unit.dest, unit.src_ptr, unit.src))
 
 
+def test_quoted_function_names_open_their_own_scopes():
+    """`define ... @"odd name"(...)` opens a function scope keyed by the name
+    as written, so two such functions that each define %x share no register."""
+    text = ('define i32 @"odd name"(i32 %n) {\n  %x = add i32 %n, %n\n  ret i32 %x\n}\n'
+            'define i32 @"other$name"(i32 %n) {\n  %x = mul i32 %n, %n\n  ret i32 %x\n}\n')
+    unit = parse_trace(text, "t")
+    odd, other = '"odd name"', '"other$name"'
+    assert rows(unit) == [
+        ("add", ("x", odd), regs(odd, "n", "n"), None),
+        ("ret", None, regs(odd, "x"), None),
+        ("mul", ("x", other), regs(other, "n", "n"), None),
+        ("ret", None, regs(other, "x"), None),
+    ]
+    assert set(unit.scopes) == {"", odd, other}
+
+
 def test_skipped_preamble_lines():
     text = """\
 ; ModuleID = 'demo'

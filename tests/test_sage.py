@@ -557,6 +557,47 @@ def test_tiled_forward_and_backward_match_the_per_layer_cache_bit_for_bit(
             assert_same_bits(grads[name], old_grads[name], name)
 
 
+@pytest.mark.parametrize("arch, graphs, max_nodes", [
+    # the default 6 x 128 at a few thousand rows, where OpenBLAS blocks the
+    # products as it does in training
+    pytest.param(ArchConfig(vocab_size=20), 20, 300, id="default_arch"),
+    # the top block is H_1, which backward masks over but must keep
+    pytest.param(ArchConfig(vocab_size=7, embed_dim=6, hidden_dim=5, num_sage_layers=1),
+                 12, 40, id="one_layer"),
+    pytest.param(ArchConfig(vocab_size=7, hidden_dim=5, num_sage_layers=1, use_embedding=False,
+                            activation="relu"), 12, 40, id="one_layer_no_embedding"),
+])
+def test_tiled_backward_matches_one_whole_batch_tile_bit_for_bit(
+        monkeypatch, arch, graphs, max_nodes):
+    """backward run over 16-row tiles gives the loss and gradients of backward
+    run as one tile over the whole batch, and leaves hs == [H_1] unchanged."""
+    rng = np.random.default_rng(40)
+    params = random_params(arch, rng)
+    batch = random_batch(rng, graphs, arch.vocab_size, max_nodes)
+    batch[3:3] = random_batch(rng, 2, arch.vocab_size, max_nodes=2)  # two 1-node graphs
+    labels = rng.integers(0, 2, len(batch))
+    counts = np.array([s.num_nodes for s in batch])
+
+    def forward_and_backward():
+        _, cache = forward(params, batch)
+        h_1 = cache.hs[0].copy()
+        result = backward(params, cache, labels)
+        assert len(cache.hs) == 1
+        assert_same_bits(cache.hs[0], h_1, "H_1")
+        return result
+
+    monkeypatch.setattr(sage, "TILE_ROWS", 16)
+    assert len(sage._tiles(counts)) > 6  # six tiles at least
+    loss, grads = forward_and_backward()
+    monkeypatch.setattr(sage, "TILE_ROWS", int(counts.sum()))
+    assert sage._tiles(counts) == [0, len(batch)]
+    whole_loss, whole_grads = forward_and_backward()
+    assert loss == whole_loss
+    assert grads.keys() == whole_grads.keys()
+    for name in grads:
+        assert_same_bits(grads[name], whole_grads[name], name)
+
+
 def test_relu_backward_keeps_the_sign_of_zero():
     """Zero pre-activations under negative dh: dz is -0.0, as it was."""
     arch = ArchConfig(vocab_size=7, embed_dim=6, hidden_dim=5, num_sage_layers=2,
@@ -614,16 +655,18 @@ def test_scoring_keeps_no_per_layer_activations():
 
 
 def test_training_step_keeps_one_block_per_layer():
-    """One default-architecture 32-graph forward peaks at 6.86 blocks, backward at 8.21.
+    """One default-architecture 32-graph forward peaks at 6.86 blocks, backward at 7.41.
 
     The cache holds H_1 .. H_6, one block per layer.  Forward writes each
     layer's output for a tile into its block, so it peaks at those six and
     a tile's temporaries; run over the whole batch at once it peaked at 8.04,
     with agg @ H_5 and the two-block input [H_5, agg @ H_5].  Backward peaks
-    in the top layer, with H_6 released after its mask: H_1 .. H_5, dz and
-    the two products that form agg.T @ (dz @ W[d:].T).  Keeping H_0 as well,
-    as forward did before, peaked at 9.04 and 11.3; caching each layer's
-    [H, agg @ H] input peaked at 19.4.
+    in the top layer, with H_6 released after its mask: H_1 .. H_5, dz, the
+    agg @ H_5 block that then takes the input gradient, and a tile's
+    temporaries.  Run over the whole batch at once, with agg.T @ (dz @ W[d:].T)
+    formed from two full-rows products, it peaked at 8.21.  Keeping H_0 as
+    well, as forward did before, peaked at 9.04 and 11.3; caching each
+    layer's [H, agg @ H] input peaked at 19.4.
     """
     rng = np.random.default_rng(34)
     arch = ArchConfig(vocab_size=20)
@@ -641,7 +684,7 @@ def test_training_step_keeps_one_block_per_layer():
     finally:
         tracemalloc.stop()
     assert forward_peak < 7 * block, f"forward peak {forward_peak / block:.2f} blocks"
-    assert peak < 8.5 * block, f"peak {peak / block:.2f} blocks"
+    assert peak < 7.5 * block, f"peak {peak / block:.2f} blocks"
 
 
 @pytest.mark.parametrize("layers", [1, 3])
