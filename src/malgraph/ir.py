@@ -24,6 +24,11 @@ whitespace tokens before the first ``(`` or ``@``, where the return type
 stands among any calling convention and attributes and before a
 constant-expression or ``asm`` callee.
 
+A register name may be quoted, ``%"x y"``, as LLVM prints a name that holds a
+space, a ``:`` or an escape; destinations, sources and named types
+(``%"class.std::a b" = type ...``) read it as written, quotes kept.  LLVM
+quotes only the names that need it, so each name has one written form.
+
 ``define ... @name(...) {`` and ``}`` delimit a function, whose registers form
 their own scope, keyed by the name as written (``@"odd name"`` gives the
 scope ``"odd name"``, quotes kept).  Block labels, named-type definitions
@@ -80,11 +85,13 @@ class TraceUnit:
         return self.opcodes
 
 
-_REG_TOKEN = re.compile(r"%([\w.$-]+)")
+# a register name, plain or quoted (`%"x y"`), as written; the common form first
+_REG = r'%([\w.$-]+|"[^"]*")'
+_REG_TOKEN = re.compile(_REG)
 # One match per instruction line: destination, opcode, the rest.
-_LINE_RE = re.compile(r"(?:%([\w.$-]+)\s*=\s*)?(?i:(?:must|no)?tail\s+(?=call\b(?!\.)))?"
+_LINE_RE = re.compile(rf"(?:{_REG}\s*=\s*)?(?i:(?:must|no)?tail\s+(?=call\b(?!\.)))?"
                       r"([a-z][\w.]*)\b\s*(.*)")
-_DEST_RE = re.compile(r"^%([\w.$-]+)\s*=\s*(.*)$")
+_DEST_RE = re.compile(rf"^{_REG}\s*=\s*(.*)$")
 _ADDR_ANNOT = re.compile(r";\s*addr=0x([0-9a-fA-F]+)\s*$")
 # a function name, quoted (`@"odd name"`) or not; scopes key names as written
 _DEFINE_RE = re.compile(r'^define\b.*?@("[^"]*"|[\w.$-]+)\s*\((.*?)\)')

@@ -389,7 +389,14 @@ class AdamState:
 def adam_step(params: ModelParams, grads: dict, state: AdamState, t: int, *,
               lr: float = 1e-3, beta1: float = 0.9, beta2: float = 0.999,
               eps: float = 1e-8):
-    """Bias-corrected adaptive-moment update, in place; t is 1-based."""
+    """Bias-corrected adaptive-moment update, in place; t is 1-based.
+
+    The parameters and the caller's ``state.m`` and ``state.v`` arrays are
+    all updated in place, so a step leaves no array behind (new moment arrays
+    would take the heap space backward just freed, and the next step's row
+    blocks would grow the heap).  Each moment adds the same two products as
+    ``beta1 * m + (1 - beta1) * g``, so its bits are the out-of-place ones.
+    """
     tensors = params.tensors()
     for name, arr in tensors.items():
         if name not in grads or np.shape(grads[name]) != arr.shape:
@@ -398,10 +405,13 @@ def adam_step(params: ModelParams, grads: dict, state: AdamState, t: int, *,
                 f"{np.shape(grads.get(name))}, expected {arr.shape}")
     for name, arr in tensors.items():
         g = grads[name]
-        state.m[name] = beta1 * state.m[name] + (1 - beta1) * g
-        state.v[name] = beta2 * state.v[name] + (1 - beta2) * (g * g)
-        m_hat = state.m[name] / (1 - beta1 ** t)
-        v_hat = state.v[name] / (1 - beta2 ** t)
+        m, v = state.m[name], state.v[name]
+        m *= beta1
+        m += (1 - beta1) * g
+        v *= beta2
+        v += (1 - beta2) * (g * g)
+        m_hat = m / (1 - beta1 ** t)
+        v_hat = v / (1 - beta2 ** t)
         arr -= lr * m_hat / (np.sqrt(v_hat) + eps)
     return params, state
 

@@ -303,6 +303,26 @@ def test_quoted_function_names_open_their_own_scopes():
     assert set(unit.scopes) == {"", odd, other}
 
 
+def test_quoted_register_names_are_read_as_written():
+    """`%"…"` names, as LLVM prints a name with a space, a `:` or an escape,
+    are destinations and sources like plain ones, keyed with their quotes;
+    a quoted named type is a type definition, not an instruction."""
+    text = ('%"class.std::a b" = type { i32 }\n'
+            'define i32 @main(i32 %n) {\n'
+            '  %"x y" = add i32 %n, 1\n'
+            '  %z = mul i32 %"x y", %n\n'
+            '  %"a\\22=b" = alloca %"class.std::a b"\n'
+            '  br label %"next block"\n'
+            '}\n')
+    unit = parse_trace(text, "t")
+    assert rows(unit) == [
+        ("add", ('"x y"', "main"), regs("main", "n"), None),
+        ("mul", ("z", "main"), regs("main", '"x y"', "n"), None),
+        ("alloca", ('"a\\22=b"', "main"), regs("main", '"class.std::a b"'), None),
+        ("br", None, regs("main", '"next block"'), None),
+    ]
+
+
 def test_skipped_preamble_lines():
     text = """\
 ; ModuleID = 'demo'
@@ -333,6 +353,10 @@ $f = comdat any
     ("lOad i32, i32* %p", "destination"),
     ("%t = tail call void @f(i32 %v)", "void"),
     ("tail call i32 @f(i32 %v)", "destination"),
+    ('%"x y" add i32 %n, 1', "without '='"),
+    ('%"x y = add i32 %n, 1', "without '='"),
+    ('%"x y" =', "right-hand side"),
+    ('%"x y" = 123', "opcode"),
 ])
 def test_malformed_lines(line, fragment):
     with pytest.raises(MalformedLine) as exc:

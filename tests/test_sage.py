@@ -761,6 +761,67 @@ def test_adam_shape_guard():
         adam_step(params, grads, state, 1)
 
 
+def random_grads(params, rng):
+    """A gradient of every tensor, out_b 0-d as backward gives it."""
+    return {k: np.asarray(rng.normal(scale=10.0 ** rng.integers(-6, 2), size=a.shape))
+            for k, a in params.tensors().items()}
+
+
+def test_adam_updates_the_moments_in_place():
+    params = init_params(SMALL, 3)
+    state = AdamState.zeros_like(params)
+    arrays = [*state.m.values(), *state.v.values()]
+    rng = np.random.default_rng(41)
+    for t in range(1, 4):
+        adam_step(params, random_grads(params, rng), state, t)
+    assert all(a is b for a, b in zip([*state.m.values(), *state.v.values()], arrays))
+    assert np.shape(state.m["out_b"]) == () and state.m["out_b"] != 0
+
+
+def test_adam_step_leaves_no_allocation_behind():
+    """A default-architecture step allocates only temporaries that die in it.
+
+    Rebinding the moments to new arrays left both sets alive, 3,206,224 bytes
+    at this architecture; they took the heap space that backward had just
+    freed, so the next step's row blocks grew the heap.
+    """
+    params = init_params(ArchConfig(vocab_size=20), 0)
+    state = AdamState.zeros_like(params)
+    rng = np.random.default_rng(42)
+    adam_step(params, random_grads(params, rng), state, 1)
+    grads = random_grads(params, rng)
+    tracemalloc.start()
+    try:
+        adam_step(params, grads, state, 2)
+        alive = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert alive < 4096, f"{alive} bytes still allocated"
+
+
+def test_adam_matches_the_out_of_place_formula_bit_for_bit():
+    """Five steps at non-default hyperparameters, out_b 0-d included."""
+    hyper = dict(lr=3e-3, beta1=0.8, beta2=0.99, eps=1e-7)
+    params = random_params(BIT_ARCHS[0], np.random.default_rng(43))
+    state = AdamState.zeros_like(params)
+    want = {k: (a.copy(), np.zeros_like(a), np.zeros_like(a))
+            for k, a in params.tensors().items()}
+    rng = np.random.default_rng(44)
+    for t in range(1, 6):
+        grads = random_grads(params, rng)
+        adam_step(params, grads, state, t, **hyper)
+        for k, (p, m, v) in want.items():
+            g, b1, b2 = grads[k], hyper["beta1"], hyper["beta2"]
+            m = b1 * m + (1 - b1) * g
+            v = b2 * v + (1 - b2) * (g * g)
+            p = p - hyper["lr"] * (m / (1 - b1 ** t)) / (np.sqrt(v / (1 - b2 ** t)) + hyper["eps"])
+            want[k] = p, m, v
+    assert np.shape(params.out_b) == () and np.shape(state.v["out_b"]) == ()
+    for k, a in params.tensors().items():
+        for got, exp, what in zip((a, state.m[k], state.v[k]), want[k], "pmv"):
+            assert_same_bits(got, exp, f"{k} {what}")
+
+
 # --- persistence -------------------------------------------------------------------
 
 VOCAB5 = OpVocabulary(("<unk>", "add", "load", "store", "sub"))
