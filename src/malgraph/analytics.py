@@ -1,4 +1,4 @@
-"""Feature extraction: opcode vocabulary, one-hot encoding, topology metrics.
+"""Feature extraction: opcode vocabulary, graph encoding, topology metrics.
 
 Centralities are computed on the simple undirected unweighted view of the
 graph with self-loops dropped.  Closeness uses the reachable-set-scaled
@@ -81,7 +81,6 @@ class GraphSample:
 
     node_ops: tuple[int, ...]
     edge_index: np.ndarray
-    label: int | None = None
 
     @property
     def num_nodes(self) -> int:
@@ -129,16 +128,7 @@ def encode(g: DepGraph, vocab: OpVocabulary) -> GraphSample:
     """Map a graph onto a vocabulary; unseen opcodes go to index 0."""
     if not g.num_nodes:
         raise EmptyGraph(f"cannot encode empty graph {g.origin!r}")
-    return GraphSample(node_ops=tuple(map(vocab.index_of, g.ops)),
-                       edge_index=g.edge_index, label=g.label)
-
-
-def one_hot(node_ops, size: int) -> np.ndarray:
-    """num_nodes × size one-hot matrix (float64 rows summing to 1)."""
-    idx = np.asarray(node_ops, dtype=np.intp)
-    out = np.zeros((len(idx), size))
-    out[np.arange(len(idx)), idx] = 1.0
-    return out
+    return GraphSample(node_ops=tuple(map(vocab.index_of, g.ops)), edge_index=g.edge_index)
 
 
 # --- topology ---------------------------------------------------------------

@@ -292,9 +292,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except MalgraphError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except OSError as e:
+    except (MalgraphError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -34,7 +34,6 @@ from .errors import (
     GraphFormatError,
     VersionMismatch,
     read_file,
-    utf8_text,
     write_file,
 )
 from .ir import TraceUnit
@@ -203,4 +202,4 @@ def save_graph(g: DepGraph, path):
 
 
 def load_graph(path) -> DepGraph:
-    return read_file(Path(path), lambda data: from_json(utf8_text(data)))
+    return read_file(Path(path), from_json)

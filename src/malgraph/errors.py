@@ -3,7 +3,8 @@
 Every file the package reads or writes goes through `read_file` and
 `write_file`, and every directory it creates through `make_dir`, so each
 read, write, create or parse failure ends in one `MalgraphError` whose
-message names the path once.
+message names the path once.  Every file it reads is UTF-8 text, and
+`read_file` is the one place that decodes it.
 """
 
 from pathlib import Path
@@ -100,17 +101,17 @@ def utf8_text(data: bytes) -> str:
 
 
 def read_file(path, parse):
-    """`parse(data)` of the bytes at `path`.
+    """`parse(text)` of the UTF-8 text at `path`.
 
-    An OSError becomes IoError and a MalgraphError raised by `parse` becomes
-    MalformedFile; both read ``cannot read <path>: ...``.
+    An OSError becomes IoError, and an undecodable byte or a MalgraphError
+    raised by `parse` becomes MalformedFile; both read ``cannot read <path>: ...``.
     """
     try:
         data = Path(path).read_bytes()
     except OSError as e:
         raise IoError(f"cannot read {path}: {e}") from None
     try:
-        return parse(data)
+        return parse(utf8_text(data))
     except MalgraphError as e:
         raise MalformedFile(path, str(e)) from None
 

@@ -32,7 +32,6 @@ from .errors import (
     SingleClass,
     TooFewSamples,
     read_file,
-    utf8_text,
     write_file,
 )
 from .ir import parse_trace
@@ -99,9 +98,9 @@ class Manifest:
         return Path(entry.path)
 
 
-def _parse_manifest(data: bytes, base_dir: str) -> Manifest:
+def _parse_manifest(text: str, base_dir: str) -> Manifest:
     entries = []
-    for line_no, line in enumerate(utf8_text(data).splitlines(), start=1):
+    for line_no, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         try:
@@ -126,7 +125,7 @@ def _parse_manifest(data: bytes, base_dir: str) -> Manifest:
 
 def load_manifest(path) -> Manifest:
     path = Path(path)
-    return read_file(path, lambda data: _parse_manifest(data, str(path.parent)))
+    return read_file(path, lambda text: _parse_manifest(text, str(path.parent)))
 
 
 def save_manifest(manifest: Manifest, path):
@@ -166,7 +165,7 @@ def read_graph(path, *, control_edges: bool = False,
     path = Path(path)
     if path.suffix.lower() == ".json":
         return load_graph(path)
-    unit = read_file(path, lambda data: parse_trace(utf8_text(data), path))
+    unit = read_file(path, lambda text: parse_trace(text, path))
     return build_graph(unit, control_edges=control_edges, memory_edges=memory_edges)
 
 
@@ -299,8 +298,8 @@ def score_samples(params: ModelParams, samples) -> np.ndarray:
     return np.concatenate(chunks) if chunks else np.empty(0)
 
 
-def _labels_of(samples) -> np.ndarray:
-    return np.asarray([s.label for s in samples], dtype=float)
+def _labels_of(manifest: Manifest) -> np.ndarray:
+    return np.asarray([e.label for e in manifest.entries], dtype=float)
 
 
 def _require_both_classes(manifest: Manifest, which: str):
@@ -333,8 +332,8 @@ def train(manifest: Manifest, cfg: TrainConfig, *, vocab_scope: str = "train") -
 
     train_samples = [encode(g, vocab) for g in train_graphs]
     test_samples = [encode(g, vocab) for g in test_graphs]
-    train_labels = _labels_of(train_samples)
-    test_labels = _labels_of(test_samples)
+    train_labels = _labels_of(train_m)
+    test_labels = _labels_of(test_m)
 
     params = init_params(arch, cfg.seed)
     state = AdamState.zeros_like(params)
@@ -388,7 +387,7 @@ def eval_scores(scores, manifest: Manifest) -> EvalReport:
     """eval_per_family of scores already taken of `manifest`, in its order."""
     if not manifest.entries:
         raise TooFewSamples("evaluation needs at least one entry")
-    labels = np.asarray([e.label for e in manifest.entries], dtype=float)
+    labels = _labels_of(manifest)
     core = metrics(scores, labels)
     try:
         area = auroc(scores, labels)

@@ -9,10 +9,12 @@ pooling segments, so batched and per-graph scores agree to float64 rounding.
 All math is float64 and hand-differentiated; gradients are validated against
 central finite differences in the test suite.  N(v) is v's full undirected
 neighbour set, so a forward pass is deterministic; each sample carries its
-mean matrix (`GraphSample.agg`), and a batch's matrix is their block diagonal.
+mean matrix (`GraphSample.agg`).
 
 Forward cuts the batch into tiles of consecutive whole graphs, each closed
-once it holds TILE_ROWS node rows, a shorter remainder joining the last tile.
+once it holds TILE_ROWS node rows, a shorter remainder joining the last tile,
+and gives each tile the block diagonal of its samples' mean matrices.  This
+plan is made once per batch and kept in the cache, where backward reads it.
 No graph reads another's rows, so each tile runs every layer and its pooling
 while it is in cache.  The bits are those of one pass over the whole batch:
 a row of the mean product or of a pooling sum adds the same terms in the same
@@ -28,14 +30,14 @@ the last time.  Backward runs forward's tiles too: only the products that sum
 over every row of the batch (the weight gradients, the bias sums, the
 embedding's one-hot product) run whole-batch, while each layer's mask, its
 agg @ h and its input gradient, which reads the transpose of the tile's
-diagonal block, go tile by tile, for the same bit-for-bit reasons.  So a
+mean block, go tile by tile, for the same bit-for-bit reasons.  So a
 default training step peaks at the L - 1 lower layers' blocks, dz, one
 agg @ h block that then takes the input gradient, and a tile's temporaries.
 For scoring (cache=False) forward keeps H_L alone, the layers below it
 running on tile-sized temporaries.
 
 scipy.sparse is imported inside `forward` and `backward`, which build the
-batch's mean matrix and the one-hot embedding product, rather than at module
+tiles' mean blocks and the one-hot embedding product, rather than at module
 level, so the commands that run no model (`corpus`, `compile`, `features`)
 never load it; the first forward in a process pays for the import.
 """
@@ -44,12 +46,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .analytics import OpVocabulary, one_hot
+from .analytics import OpVocabulary
 from .errors import (
     CacheMismatch,
     EmptyDataset,
@@ -59,12 +60,8 @@ from .errors import (
     VersionMismatch,
     VocabMismatch,
     read_file,
-    utf8_text,
     write_file,
 )
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
 
 ACTIVATIONS = ("leaky_relu", "relu")
 LEAKY_SLOPE = 0.01
@@ -187,7 +184,7 @@ def _input_table(params: ModelParams) -> np.ndarray:
     arch = params.arch
     if arch.use_embedding:
         return _act(params.embed_W + params.embed_b, arch.activation)
-    return one_hot(np.arange(arch.vocab_size), arch.vocab_size)
+    return np.eye(arch.vocab_size)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -208,8 +205,9 @@ class ForwardCache:
     needed.  backward releases each of H_2 .. H_L once it has masked its
     layer's gradient with it, tile by tile, and leaves hs == [H_1], so the
     cache serves one backward only.  With the cache off, hs holds only H_L,
-    which pooling reads anyway.  `for_backward` says whether backward may
-    still read the cache.
+    which pooling reads anyway.  `tiles` is forward's tile plan, each tile's
+    mean block the block diagonal of its samples' `agg`.  `for_backward` says
+    whether backward may still read the cache.
     """
 
     params: ModelParams
@@ -217,7 +215,7 @@ class ForwardCache:
     pooled: np.ndarray
     counts: np.ndarray              # nodes per graph
     idx: np.ndarray                 # node op index per batch row
-    agg: sp.csr_matrix
+    tiles: list                     # (first row, end row, mean block) per tile
     hs: list
     for_backward: bool
 
@@ -243,8 +241,8 @@ def forward(params: ModelParams, batch, *, cache: bool = True):
 
     The batch runs tile by tile (`_tiles`, and the module docs for why the
     bits are those of one pass): a tile reads its rows of the input table and
-    its diagonal block of the batch's mean matrix, and writes each layer's
-    output into that layer's full-rows block.  `backward` needs cache=True.
+    its mean block, and writes each layer's output into that layer's
+    full-rows block.  `backward` needs cache=True.
     With cache=False only H_L has a full-rows block and the layers below it
     use tile-sized temporaries, so scoring holds one row block and a tile.
     """
@@ -265,15 +263,17 @@ def forward(params: ModelParams, batch, *, cache: bool = True):
     import scipy.sparse as sp
 
     table = _input_table(params)
-    agg = sp.block_diag([s.agg for s in batch], format="csr")
+    # the tile plan, made before the row blocks so that its small arrays
+    # do not land between them and grow the heap
+    cuts = _tiles(counts)
+    tiles = [(offsets[g0], offsets[g1],
+              sp.block_diag([s.agg for s in batch[g0:g1]], format="csr"))
+             for g0, g1 in zip(cuts, cuts[1:])]
     layers = arch.num_sage_layers
     # H_1 .. H_L with the cache on, H_L alone with it off: hs[k - layers] is H_{k+1}
     hs = [np.empty((len(idx), arch.hidden_dim)) for _ in range(layers if cache else 1)]
     pooled = np.empty((len(batch), arch.hidden_dim))
-    cuts = _tiles(counts)
-    for g0, g1 in zip(cuts, cuts[1:]):
-        a, b = offsets[g0], offsets[g1]
-        tile_agg = agg[a:b, a:b]
+    for g0, g1, (a, b, tile_agg) in zip(cuts, cuts[1:], tiles):
         h = table[idx[a:b]]
         for k, (w, bias) in enumerate(zip(params.sage_W, params.sage_b)):
             x = np.concatenate([h, tile_agg @ h], axis=1)
@@ -283,7 +283,7 @@ def forward(params: ModelParams, batch, *, cache: bool = True):
         np.divide(np.add.reduceat(h, offsets[g0:g1] - a, axis=0), counts[g0:g1, None],
                   out=pooled[g0:g1])
     scores = _sigmoid(pooled @ params.out_W + params.out_b)
-    return scores, ForwardCache(params, scores, pooled, counts, idx, agg, hs, for_backward=cache)
+    return scores, ForwardCache(params, scores, pooled, counts, idx, tiles, hs, for_backward=cache)
 
 
 CLAMP_LO = 1e-12
@@ -300,10 +300,10 @@ def backward(params: ModelParams, cache: ForwardCache, labels):
     """Mean binary cross-entropy and its exact gradients; returns (loss, grads).
 
     Reads the cache once: it releases all of cache.hs but H_1 on the way.
-    The weight gradients are whole-batch products; the rest runs over the
-    tiles of `_tiles(cache.counts)`, forward's tiles (see the module docs),
-    so besides the cache a layer holds dz, one agg @ h block, which then
-    takes the layer's input gradient, and a tile's temporaries.
+    The weight gradients are whole-batch products; the rest runs over
+    cache.tiles, forward's tile plan (see the module docs), so besides the
+    cache a layer holds dz, one agg @ h block, which then takes the layer's
+    input gradient, and a tile's temporaries.
     """
     if cache.params is not params:
         raise CacheMismatch("cache was produced by different parameters")
@@ -329,12 +329,9 @@ def backward(params: ModelParams, cache: ForwardCache, labels):
     d_pooled = np.outer(dz_out, params.out_W)
     dz = np.repeat(d_pooled / cache.counts[:, None], cache.counts, axis=0)
 
-    # forward's tiles, each with its diagonal block of the mean matrix
-    bounds = np.concatenate([[0], np.cumsum(cache.counts)])[_tiles(cache.counts)]
-    tiles = [(a, b, cache.agg[a:b, a:b]) for a, b in zip(bounds, bounds[1:])]
     kind = arch.activation
     hs = cache.hs
-    for a, b, _ in tiles:
+    for a, b, _ in cache.tiles:
         _act_backward(hs[-1][a:b], dz[a:b], kind)
 
     # each layer's weights split into the halves that multiply h and agg @ h
@@ -344,7 +341,7 @@ def backward(params: ModelParams, cache: ForwardCache, labels):
         w = params.sage_W[k]
         d_in = h.shape[1]
         m = np.empty_like(h)
-        for a, b, tile_agg in tiles:
+        for a, b, tile_agg in cache.tiles:
             m[a:b] = tile_agg @ h[a:b]
         dw = np.empty_like(w)
         np.matmul(h.T, dz, out=dw[:d_in])
@@ -355,7 +352,7 @@ def backward(params: ModelParams, cache: ForwardCache, labels):
             break  # the one-hot input has no gradient
         # agg @ h is read; its block takes d loss / d h, then layer k - 1's dz
         # (h = H_k is that layer's output, or act(embed) for k = 0)
-        for a, b, tile_agg in tiles:
+        for a, b, tile_agg in cache.tiles:
             dh = np.matmul(dz[a:b], w[:d_in].T, out=m[a:b])
             dh += tile_agg.T @ (dz[a:b] @ w[d_in:].T)
             _act_backward(h[a:b], dh, kind)
@@ -419,17 +416,9 @@ def adam_step(params: ModelParams, grads: dict, state: AdamState, t: int, *,
 # --- persistence -------------------------------------------------------------
 
 def _arch_to_obj(arch: ArchConfig) -> dict:
-    return {
-        "vocab_size": arch.vocab_size,
-        "embed_dim": arch.embed_dim,
-        "hidden_dim": arch.hidden_dim,
-        "num_sage_layers": arch.num_sage_layers,
-        "use_embedding": arch.use_embedding,
-        "activation": arch.activation,
-        # the format's neighbour keys; each has one supported value
-        "neighbor_view": "undirected",
-        "sample_cap": None,
-    }
+    # the fields in declaration order, then the format's neighbour keys, each
+    # with its one supported value
+    return {**asdict(arch), "neighbor_view": "undirected", "sample_cap": None}
 
 
 def model_to_json(params: ModelParams, vocab: OpVocabulary) -> bytes:
@@ -532,4 +521,4 @@ def save_model(params: ModelParams, vocab: OpVocabulary, path):
 
 
 def load_model(path):
-    return read_file(path, lambda data: model_from_json(utf8_text(data)))
+    return read_file(path, model_from_json)

@@ -171,7 +171,7 @@ def test_gradients_match_finite_differences():
     ops = [int(rng.integers(0, 4)) for _ in range(n)]
     pairs = {(int(rng.integers(0, n)), int(rng.integers(0, n))) for _ in range(8)}
     edges = tuple(sorted(pairs))
-    sample = GraphSample(node_ops=tuple(ops), edge_index=_edge_index(edges), label=1)
+    sample = GraphSample(node_ops=tuple(ops), edge_index=_edge_index(edges))
     labels = np.array([1.0])
 
     arch = ArchConfig(vocab_size=4, embed_dim=8, hidden_dim=8, num_sage_layers=6)
@@ -188,7 +188,7 @@ def test_gradients_match_finite_differences():
     # cache keeps H_1 .. H_L until backward, and H_0 is rebuilt from the parameters
     z_all = [params.embed_W[cache.idx] + params.embed_b]
     h_0 = np.maximum(z_all[0], LEAKY_SLOPE * z_all[0])
-    xs = [np.concatenate([h, cache.agg @ h], axis=1) for h in [h_0] + cache.hs[:-1]]
+    xs = [np.concatenate([h, sample.agg @ h], axis=1) for h in [h_0] + cache.hs[:-1]]
     assert len(xs) == arch.num_sage_layers
     z_all += [x @ w + b for x, w, b in zip(xs, params.sage_W, params.sage_b)]
     assert min(float(np.min(np.abs(z))) for z in z_all) > 1e-3
@@ -227,15 +227,14 @@ def test_scores_invariant_under_node_relabeling():
                         for _ in range(m)})
         ops = tuple(int(v) for v in rng.integers(0, 6, size=n))
         rng.integers(1, 9, size=len(pairs))  # unused; keeps the later seeded draws
-        g = GraphSample(node_ops=ops, edge_index=_edge_index(pairs), label=None)
+        g = GraphSample(node_ops=ops, edge_index=_edge_index(pairs))
 
         perm = rng.permutation(n)
         new_ops = [0] * n
         for old, new in enumerate(perm):
             new_ops[new] = ops[old]
         new_edges = tuple((int(perm[a]), int(perm[b])) for a, b in pairs)
-        h = GraphSample(node_ops=tuple(new_ops), edge_index=_edge_index(new_edges),
-                        label=None)
+        h = GraphSample(node_ops=tuple(new_ops), edge_index=_edge_index(new_edges))
 
         s1, _ = forward(params, [g])
         s2, _ = forward(params, [h])

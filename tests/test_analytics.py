@@ -19,7 +19,6 @@ from malgraph.analytics import (
     build_vocab,
     encode,
     export_features_csv,
-    one_hot,
     topo_features,
 )
 from malgraph.depgraph import EDGE_KINDS, DepGraph
@@ -340,7 +339,6 @@ def test_encode_lookup_and_unknown():
     s = encode(g, vocab)
     assert s.node_ops == (2, 2)
     assert s.edge_index.tolist() == [[0], [1]]
-    assert s.label == 1
 
     g2 = make_graph(1, [], ops=["cmpxchg"])
     assert encode(g2, vocab).node_ops == (0,)
@@ -399,14 +397,6 @@ def test_agg_matches_neighbour_set_oracle(case):
 def test_agg_built_once():
     s = sample(2, [(0, 1)])
     assert s.agg is s.agg
-
-
-@given(st.lists(st.integers(0, 7), min_size=1, max_size=30))
-def test_one_hot_rows(indices):
-    m = one_hot(indices, 8)
-    assert m.shape == (len(indices), 8)
-    assert np.all(m.sum(axis=1) == 1.0)
-    assert np.all((m == 0) | (m == 1))
 
 
 def test_vocab_rejects_bad_shapes():

@@ -365,7 +365,7 @@ def test_train_single_full_batch_is_one_step(tmp_path):
     arch = dataclasses.replace(cfg.arch, vocab_size=vocab.size)
     params = init_params(arch, cfg.seed)
     samples = [encode(g, vocab) for g in graphs]
-    labels = np.array([s.label for s in samples], dtype=float)
+    labels = np.array([g.label for g in graphs], dtype=float)
     _, cache = forward(params, samples)
     loss, grads = backward(params, cache, labels)
     adam_step(params, grads, AdamState.zeros_like(params), 1)

@@ -48,10 +48,9 @@ from malgraph.sage import (
 )
 
 
-def gs(node_ops, edges, label=None):
+def gs(node_ops, edges):
     return GraphSample(node_ops=tuple(node_ops),
-                       edge_index=np.array(edges, dtype=np.int64).reshape(-1, 2).T,
-                       label=label)
+                       edge_index=np.array(edges, dtype=np.int64).reshape(-1, 2).T)
 
 
 SMALL = ArchConfig(vocab_size=5, embed_dim=4, hidden_dim=3, num_sage_layers=2)
@@ -190,18 +189,29 @@ def test_isolated_node_aggregates_zero():
     assert agg.getrow(2).nnz == 0 and agg.getrow(0).nnz == 1
 
 
-def test_forward_batch_matrix_is_block_diagonal_of_samples():
+@pytest.mark.parametrize("cache_on", [True, False], ids=["cache", "no_cache"])
+def test_forward_tiles_follow_the_cuts_and_hold_their_samples_block_diagonal(
+        monkeypatch, cache_on):
+    """cache.tiles has one (first row, end row, mean block) per tile of
+    `_tiles`, and each block is the block diagonal of its samples' `agg`,
+    down to its stored indices and values."""
+    monkeypatch.setattr(sage, "TILE_ROWS", 4)
     params = init_params(SMALL, 4)
     samples = [gs([1, 2, 3], [(0, 1), (2, 1), (1, 0)]), gs([4], []),
-               gs([0, 1, 2, 3], [(3, 3), (0, 2), (2, 0), (1, 3)])]
-    _, cache = forward(params, samples)
-    dense = cache.agg.toarray()
-    lo = 0
-    for s in samples:
-        hi = lo + s.num_nodes
-        assert np.array_equal(dense[lo:hi, lo:hi], s.agg.toarray())
-        lo = hi
-    assert cache.agg.nnz == sum(s.agg.nnz for s in samples)
+               gs([0, 1, 2, 3], [(3, 3), (0, 2), (2, 0), (1, 3)]), gs([2, 2], [(0, 1)]),
+               gs([1, 0, 3, 4, 2], [(0, 4), (4, 1), (2, 3)]), gs([3], [(0, 0)])]
+    counts = np.array([s.num_nodes for s in samples])
+    cuts = sage._tiles(counts)
+    assert len(cuts) > 3  # three tiles at least
+    offsets = np.concatenate([[0], np.cumsum(counts)])
+    _, cache = forward(params, samples, cache=cache_on)
+    assert len(cache.tiles) == len(cuts) - 1
+    for (g0, g1), (a, b, block) in zip(zip(cuts, cuts[1:]), cache.tiles):
+        assert (a, b) == (offsets[g0], offsets[g1])
+        want = sp.block_diag([s.agg for s in samples[g0:g1]], format="csr")
+        assert block.format == "csr" and block.shape == (b - a, b - a)
+        for part in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(block, part), getattr(want, part)), part
 
 
 def test_matches_naive_reference():
@@ -598,6 +608,31 @@ def test_tiled_backward_matches_one_whole_batch_tile_bit_for_bit(
         assert_same_bits(grads[name], whole_grads[name], name)
 
 
+@pytest.mark.parametrize("arch", TILE_ARCHS)
+def test_backward_reads_forwards_tiles_from_the_cache(monkeypatch, arch):
+    """backward takes its tiles from the cache and does not cut the batch
+    again: with `_tiles` made to raise after forward, it gives the loss and
+    gradients of an unpatched backward, bit for bit."""
+    monkeypatch.setattr(sage, "TILE_ROWS", 16)
+    rng = np.random.default_rng(41)
+    params = random_params(arch, rng)
+    batch = sized_batch(rng, tiling_sizes(16), arch.vocab_size)
+    labels = rng.integers(0, 2, len(batch))
+    want_loss, want_grads = backward(params, forward(params, batch)[1], labels)
+    _, cache = forward(params, batch)
+    assert len(cache.tiles) > 3  # three tiles at least
+
+    def no_second_cut(counts):
+        raise AssertionError("backward cut the batch into tiles again")
+
+    monkeypatch.setattr(sage, "_tiles", no_second_cut)
+    loss, grads = backward(params, cache, labels)
+    assert loss == want_loss
+    assert grads.keys() == want_grads.keys()
+    for name in grads:
+        assert_same_bits(grads[name], want_grads[name], name)
+
+
 def test_relu_backward_keeps_the_sign_of_zero():
     """Zero pre-activations under negative dh: dz is -0.0, as it was."""
     arch = ArchConfig(vocab_size=7, embed_dim=6, hidden_dim=5, num_sage_layers=2,
@@ -609,7 +644,8 @@ def test_relu_backward_keeps_the_sign_of_zero():
     labels = [1] * len(batch)
     _, cache = forward(params, batch)
     h_1 = cache.hs[0]
-    x_1 = np.concatenate([h_1, cache.agg @ h_1], axis=1)
+    agg = sp.block_diag([s.agg for s in batch], format="csr")
+    x_1 = np.concatenate([h_1, agg @ h_1], axis=1)
     assert np.all(x_1 @ params.sage_W[1][:, 0] == 0.0)
     _, grads = backward(params, cache, labels)
     _, old_grads = old_backward(params, old_forward_cache(params, batch), labels)
