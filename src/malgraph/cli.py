@@ -128,7 +128,7 @@ def cmd_train(args) -> int:
     cfg = TrainConfig(arch=arch, epochs=args.epochs, seed=args.seed,
                       batch_size=args.batch_size, lr=args.lr,
                       split_fraction=args.split)
-    result = train(manifest, cfg, vocab_scope=args.vocab_scope)
+    result = train(manifest, cfg)
     save_model(result.params, result.vocab, args.out)
     if args.history:
         save_history(result.history, args.history)
@@ -259,7 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default="leaky-relu")
     p.add_argument("--split", type=_between(0, 1), default=0.8,
                    help="train fraction of the stratified split")
-    p.add_argument("--vocab-scope", choices=("train", "all"), default="train")
     p.add_argument("--history", default=None, help="per-epoch metrics CSV path")
     p.set_defaults(fn=cmd_train)
 

@@ -15,10 +15,9 @@ graph in columns, as the program does, so the reader checks whole columns::
      "ops":["add",...],"src":[0,...],"dst":[1,...],"kind":["data",...]}
 
 It is canonical (edges sorted by (src, dst, kind), fixed key order and
-separators): equal graphs give identical bytes.  Versions 1 and 2, which list
-node objects ``{"id","op"}`` in id order and edge objects ``{"src","dst","kind"}``,
-are read by first turning those lists into the same columns; extra keys are not
-read.
+separators): equal graphs give identical bytes.  The reader takes version 3
+only; extra keys are not read.  A file of an older version is made again by
+compiling its trace.
 """
 
 from __future__ import annotations
@@ -142,16 +141,16 @@ def _require(cond: bool, detail: str):
 
 
 def from_json(data) -> DepGraph:
-    """Parse and validate a graph document (bytes or str) of version 1, 2 or 3."""
+    """Parse and validate a version 3 graph document (bytes or str)."""
     try:
         obj = json.loads(data)
     except (ValueError, RecursionError) as e:  # ValueError covers decode and int-size errors
         raise GraphFormatError(f"not valid JSON: {e}") from None
     _require(isinstance(obj, dict), "top level must be an object")
     version = obj.get("version")
-    if type(version) is not int or version not in (1, 2, 3):  # not true, not 2.0
+    if type(version) is not int or version != 3:  # not true, not 3.0
         raise VersionMismatch(f"unsupported graph version {version!r}")
-    for key in ("origin", "label", "family", *(_COLUMNS if version == 3 else ("nodes", "edges"))):
+    for key in ("origin", "label", "family", *_COLUMNS):
         _require(key in obj, f"missing field {key!r}")
 
     origin = obj["origin"]
@@ -161,21 +160,10 @@ def from_json(data) -> DepGraph:
              "label must be 0, 1 or null")
     family = obj["family"]
     _require(family is None or isinstance(family, str), "family must be a string or null")
-    cols = obj if version == 3 else {}
-    if version < 3:  # node and edge objects become the same columns
-        for items, keys in (("nodes", ("id", "op")), ("edges", ("src", "dst", "kind"))):
-            _require(isinstance(obj[items], list), f"{items} must be an array")
-            try:
-                cols.update({key: [item[key] for item in obj[items]] for key in keys})
-            except (TypeError, KeyError):  # an item that is not an object, or lacks a key
-                raise GraphFormatError(f"{items} must be objects with {', '.join(keys)}") from None
-        ids, cols["ops"] = cols["id"], cols["op"]
-        _require(set(map(type, ids)) <= {int} and ids == list(range(len(ids))),
-                 "node ids must be 0..n-1 in order")
     for key, kind in _COLUMNS.items():  # exact element types, so true and 1.0 fail
-        _require(isinstance(cols[key], list) and set(map(type, cols[key])) <= {kind},
+        _require(isinstance(obj[key], list) and set(map(type, obj[key])) <= {kind},
                  f"{key} must be an array of {'integers' if kind is int else 'strings'}")
-    ops, src, dst, kind = (cols[key] for key in _COLUMNS)
+    ops, src, dst, kind = (obj[key] for key in _COLUMNS)
     if not ops:
         raise EmptyGraph(f"graph {origin!r} has no nodes")
     _require(len(src) == len(dst) == len(kind), "src, dst and kind must have equal lengths")

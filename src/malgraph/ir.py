@@ -31,10 +31,11 @@ quotes only the names that need it, so each name has one written form.
 
 ``define ... @name(...) {`` and ``}`` delimit a function, whose registers form
 their own scope, keyed by the name as written (``@"odd name"`` gives the
-scope ``"odd name"``, quotes kept).  Block labels, named-type definitions
-(``%T = type ...``) and preamble/metadata lines (``target``, ``declare``,
-``@`` globals, ``!`` metadata, ``attributes``, ``source_filename``) are
-skipped.
+scope ``"odd name"``, quotes kept).  Block labels (every line that ends in
+``:`` once its comment is cut, so a quoted ``"odd block":`` too), named-type
+definitions (``%T = type ...``) and preamble/metadata lines (``target``,
+``declare``, ``module asm``, ``@`` globals, ``!`` metadata, ``attributes``,
+``source_filename``) are skipped.
 
 A parse gives columns, not records.  Each register name in each function
 scope gets one id, ``scopes[scope][name]``; the ids of all scopes together
@@ -95,9 +96,9 @@ _DEST_RE = re.compile(rf"^{_REG}\s*=\s*(.*)$")
 _ADDR_ANNOT = re.compile(r";\s*addr=0x([0-9a-fA-F]+)\s*$")
 # a function name, quoted (`@"odd name"`) or not; scopes key names as written
 _DEFINE_RE = re.compile(r'^define\b.*?@("[^"]*"|[\w.$-]+)\s*\((.*?)\)')
-_LABEL_RE = re.compile(r"^([\w.$-]+):\s*$")
 
-_SKIP_PREFIXES = ("target ", "source_filename", "declare ", "attributes ", "@", "!", "$")
+_SKIP_PREFIXES = ("target ", "source_filename", "declare ", "attributes ", "module asm",
+                  "@", "!", "$")
 # landingpad clause lines, besides `cleanup` alone
 _CLAUSE_PREFIXES = ("catch ", "filter ")
 # the opcodes whose destination labels LLVM prints on a next line that starts with `to`
@@ -160,7 +161,7 @@ def parse_trace(text: str, origin) -> TraceUnit:
             if m or line == "}":
                 ids = scopes.setdefault(m.group(1) if m else "", defaultdict(new_id))
                 continue
-            if (_LABEL_RE.match(line) or line.startswith(_SKIP_PREFIXES)
+            if (line[-1] == ":" or line.startswith(_SKIP_PREFIXES)  # ":" ends a block label
                     or line == "cleanup" or line.startswith(_CLAUSE_PREFIXES)):
                 continue
             if line.startswith("to ") and opcodes and opcodes[-1] in _TO_OPCODES:

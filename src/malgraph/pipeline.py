@@ -7,9 +7,9 @@ two are parsed and built into graphs on load.  Manifest label/family always
 override whatever the graph file carries.
 
 Training follows the usual protocol: stratified 80/20 split, vocabulary built
-from the training split only (an opt-in scope widens it to all graphs),
-shuffled mini-batches with adaptive-moment updates, and per-epoch test
-accuracy/AUROC history.  Everything is deterministic in the config seed.
+from the training split only, shuffled mini-batches with adaptive-moment
+updates, and per-epoch test accuracy/AUROC history.  Everything is
+deterministic in the config seed.
 """
 
 from __future__ import annotations
@@ -309,16 +309,13 @@ def _require_both_classes(manifest: Manifest, which: str):
             f"{which} split must contain both classes, got labels {sorted(labels)}")
 
 
-def train(manifest: Manifest, cfg: TrainConfig, *, vocab_scope: str = "train") -> TrainResult:
+def train(manifest: Manifest, cfg: TrainConfig) -> TrainResult:
     """Split, build vocabulary, train for cfg.epochs, and record history.
 
-    The vocabulary is built from the train split only unless
-    vocab_scope="all"; cfg.arch.vocab_size is overridden to match it.  The
-    first step whose loss or gradients, or whose epoch's test scores, are not
-    finite stops the run.
+    The vocabulary is built from the train split only; cfg.arch.vocab_size is
+    overridden to match it.  The first step whose loss or gradients, or whose
+    epoch's test scores, are not finite stops the run.
     """
-    if vocab_scope not in ("train", "all"):
-        raise ValueError("vocab_scope must be 'train' or 'all'")
     train_m, test_m = split(manifest, cfg.split_fraction, cfg.seed)
     _require_both_classes(train_m, "train")
     _require_both_classes(test_m, "test")
@@ -326,8 +323,7 @@ def train(manifest: Manifest, cfg: TrainConfig, *, vocab_scope: str = "train") -
     train_graphs = load_dataset(train_m)
     test_graphs = load_dataset(test_m)
 
-    vocab_source = train_graphs if vocab_scope == "train" else train_graphs + test_graphs
-    vocab = build_vocab(vocab_source)
+    vocab = build_vocab(train_graphs)
     arch = dataclasses.replace(cfg.arch, vocab_size=vocab.size)
 
     train_samples = [encode(g, vocab) for g in train_graphs]

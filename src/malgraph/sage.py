@@ -47,6 +47,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -454,6 +455,10 @@ def _tensor(obj, name: str, expect) -> np.ndarray:
         raise ShapeMismatch(
             f"tensor {name!r} has shape {None if arr is None else arr.shape}, "
             f"expected {expect}")
+    # the shape holds, so the elements sit at depth len(expect); asarray reads "1" and true too
+    elements = (obj,) if not expect else obj if len(expect) == 1 else chain.from_iterable(obj)
+    if not set(map(type, elements)) <= {int, float}:
+        raise GraphFormatError(f"tensor {name!r} must hold only numbers")
     if not np.all(np.isfinite(arr)):
         raise GraphFormatError(f"tensor {name!r} contains non-finite values")
     return arr

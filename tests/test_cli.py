@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -23,9 +24,8 @@ SMALL_LL = ("define i32 @f(i32 %x) {\n  %a = mul i32 %x, %x\n"
 def graph_doc(ops, pairs):
     """Graph JSON of nodes `ops` joined by the data edges `pairs`."""
     return json.dumps({
-        "version": 2, "origin": "", "label": None, "family": None,
-        "nodes": [{"id": i, "op": op} for i, op in enumerate(ops)],
-        "edges": [{"src": s, "dst": d, "kind": "data"} for s, d in pairs]})
+        "version": 3, "origin": "", "label": None, "family": None, "ops": ops,
+        "src": [s for s, _ in pairs], "dst": [d for _, d in pairs], "kind": ["data"] * len(pairs)})
 
 
 def run(argv, capsys):
@@ -195,44 +195,14 @@ _WIDE_VECTOR = f"<{10**40} x i64>"  # a lane count past int64
 
 @pytest.mark.parametrize("token", [_HUGE_INT, _DEEP_VECTOR, _WIDE_VECTOR],
                          ids=["huge_int", "deep_vector", "wide_vector"])
-@pytest.mark.parametrize("as_json", [False, True], ids=["trace", "json"])
-def test_compile_oversize_type_token_is_opaque(tmp_path, capsys, token, as_json):
-    if as_json:
-        src = tmp_path / "t.json"
-        src.write_text(json.dumps({
-            "version": 1, "origin": "t", "label": None, "family": None,
-            "nodes": [{"id": 0, "op": "load", "type": token}], "edges": []}))
-    else:
-        src = tmp_path / "t.trace"
-        src.write_text(f"%p = alloca i8\n%v = load {token}, i8* %p\n")
+@pytest.mark.parametrize("suffix", [".trace", ".ll"], ids=["trace", "ll"])
+def test_compile_oversize_type_token_is_opaque(tmp_path, capsys, token, suffix):
+    src = (tmp_path / "t").with_suffix(suffix)
+    body = f"%p = alloca i8\n%v = load {token}, i8* %p\n"
+    src.write_text(body if suffix == ".trace" else f"define void @f() {{\n{body}ret void\n}}\n")
     code, _, err = run(["compile", src, "--out", tmp_path / "out"], capsys)
     assert code == 0 and err == ""
-    assert json.loads((tmp_path / "out" / "t.json").read_text())["ops"][-1] == "load"
-
-
-def test_compile_upgrades_a_version_1_document(tmp_path, capsys):
-    v1 = tmp_path / "v1" / "g.json"
-    v1.parent.mkdir()
-    v1.write_text(json.dumps({
-        "version": 1, "origin": "g", "label": 1, "family": "worm",
-        "nodes": [{"id": 0, "op": "load", "type": "ptr"}, {"id": 1, "op": "add", "type": "i32"},
-                  {"id": 2, "op": "br", "type": "void"}],
-        "edges": [{"src": 1, "dst": 2, "w": 1, "kind": "control"},
-                  {"src": 0, "dst": 1, "w": 8, "kind": "data"}]}))
-    v2 = tmp_path / "v2" / "g.json"
-    v2.parent.mkdir()
-    v2.write_bytes(
-        b'{"version":2,"origin":"g","label":1,"family":"worm",'
-        b'"nodes":[{"id":0,"op":"load"},{"id":1,"op":"add"},{"id":2,"op":"br"}],'
-        b'"edges":[{"src":0,"dst":1,"kind":"data"},{"src":1,"dst":2,"kind":"control"}]}')
-    v3 = (b'{"version":3,"origin":"g","label":1,"family":"worm","ops":["load","add","br"],'
-          b'"src":[0,1],"dst":[1,2],"kind":["data","control"]}')
-    for old in (v1, v2):
-        assert to_json(from_json(old.read_bytes())) == v3
-        out = tmp_path / f"out-{old.parent.name}"
-        code, _, err = run(["compile", old, "--out", out], capsys)
-        assert code == 0 and err == ""
-        assert (out / "g.json").read_bytes() == v3
+    assert json.loads((tmp_path / "out" / "t.json").read_text())["ops"][:2] == ["alloca", "load"]
 
 
 def test_compile_ignores_type_tokens(tmp_path, capsys, monkeypatch):
@@ -495,12 +465,29 @@ def test_predict_out_of_vocab_graph_scores(trained, tmp_path, capsys):
 
 def test_predict_empty_graph_exits_1(trained, tmp_path, capsys):
     path = tmp_path / "empty.json"
-    path.write_text('{"version":1,"origin":"x","label":null,"family":null,'
-                    '"nodes":[],"edges":[]}')
+    path.write_text('{"version":3,"origin":"x","label":null,"family":null,'
+                    '"ops":[],"src":[],"dst":[],"kind":[]}')
     code, _, err = run(["predict", "--model", trained / "model.json", path],
                        capsys)
     assert code == 1
     assert "empty.json" in err
+
+
+@pytest.mark.parametrize("version", [1, 2])
+@pytest.mark.parametrize("cmd", ["compile", "predict", "features"])
+def test_old_graph_versions_exit_1_naming_the_file(trained, tmp_path, capsys, cmd, version):
+    """Only version 3 graph files are read; an older one is compiled again from its trace."""
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps({"version": version, "origin": "x", "label": None, "family": None,
+                                "nodes": [{"id": 0, "op": "add"}], "edges": []}))
+    argv = {"compile": ["compile", path, "--out", tmp_path / "out"],
+            "predict": ["predict", "--model", trained / "model.json", path],
+            "features": ["features", path]}[cmd]
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(path) in err and f"unsupported graph version {version}" in err
+    assert not (tmp_path / "out").exists()
 
 
 def _predict_with_model(model: dict, tmp_path, capsys):
@@ -765,13 +752,13 @@ def test_only_a_model_loads_scipy_sparse(tmp_path):
     ("corpus", ["--out", "--benign", "--malicious", "--seed", "--easy"]),
     ("train", ["--manifest", "--out", "--epochs", "--batch-size", "--lr",
                "--seed", "--layers", "--hidden", "--no-embedding",
-               "--activation", "--split", "--vocab-scope", "--history"]),
+               "--activation", "--split", "--history"]),
     ("predict", ["--model"]),
     ("eval", ["--model", "--manifest", "--per-family", "--json"]),
     ("features", ["--manifest", "--csv"]),
 ])
 def test_help_lists_documented_flags(cmd, flags, capsys):
+    """Each command's help lists exactly its documented flags."""
     code, out, _ = run([cmd, "--help"], capsys)
     assert code == 0
-    for flag in flags:
-        assert flag in out
+    assert set(re.findall(r"(?<![\w-])--[a-z][\w-]*", out)) == {*flags, "--help"}

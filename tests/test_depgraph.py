@@ -229,11 +229,6 @@ def test_json_golden_bytes():
     golden = (b'{"version":3,"origin":"t","label":1,"family":"worm",'
               b'"ops":["sub","sub"],"src":[0],"dst":[1],"kind":["data"]}')
     assert to_json(g) == golden
-    # the same graph as version 2 wrote it reads back to the same bytes
-    assert to_json(from_json(
-        b'{"version":2,"origin":"t","label":1,"family":"worm",'
-        b'"nodes":[{"id":0,"op":"sub"},{"id":1,"op":"sub"}],'
-        b'"edges":[{"src":0,"dst":1,"kind":"data"}]}')) == golden
 
 
 def test_json_roundtrip_and_canonical():
@@ -243,10 +238,9 @@ def test_json_roundtrip_and_canonical():
 
 
 def test_json_accepts_unsorted_edges():
-    doc = (b'{"version":1,"origin":"x","label":null,"family":null,'
-           b'"nodes":[{"id":0,"op":"add","type":"i32"},{"id":1,"op":"add","type":"i32"},'
-           b'{"id":2,"op":"add","type":"i32"}],'
-           b'"edges":[{"src":1,"dst":2,"w":4,"kind":"data"},{"src":0,"dst":1,"w":4,"kind":"data"}]}')
+    # extra keys, such as an old edge weight column, are not read
+    doc = (b'{"version":3,"origin":"x","label":null,"family":null,"ops":["add","add","add"],'
+           b'"src":[1,0],"dst":[2,1],"kind":["data","data"],"w":[4,4]}')
     g = from_json(doc)
     assert g.edge_index.tolist() == [[0, 1], [1, 2]]
     assert g.label is None and g.family is None
@@ -264,7 +258,7 @@ def test_json_rejections():
             "not valid JSON: Expecting value: line 1 column 1 (char 0)")):
         from_json(b"not json at all")
     with pytest.raises(GraphFormatError, match=_exactly("missing field 'origin'")):
-        from_json(b'{"version":1}')
+        from_json(b'{"version":3}')
     with pytest.raises(GraphFormatError, match=_exactly("missing field 'kind'")):
         from_json(ok.replace(b',"kind":["data"]', b''))
     with pytest.raises(GraphFormatError, match=_exactly("label must be 0, 1 or null")):
@@ -277,16 +271,11 @@ def test_json_rejections():
     with pytest.raises(GraphFormatError, match=_exactly("duplicate edge (0, 1, 'data')")):
         from_json(ok.replace(b'"src":[0],"dst":[1],"kind":["data"]',
                              b'"src":[0,0],"dst":[1,1],"kind":["data","data"]'))
-    with pytest.raises(GraphFormatError, match=_exactly("node ids must be 0..n-1 in order")):
-        from_json(b'{"version":2,"origin":"x","label":null,"family":null,'
-                  b'"nodes":[{"id":0,"op":"add"},{"id":5,"op":"add"}],"edges":[]}')
     with pytest.raises(EmptyGraph, match=_exactly("graph 'x' has no nodes")):
-        from_json(b'{"version":1,"origin":"x","label":null,"family":null,"nodes":[],"edges":[]}')
+        from_json(b'{"version":3,"origin":"x","label":null,"family":null,'
+                  b'"ops":[],"src":[],"dst":[],"kind":[]}')
     with pytest.raises(EmptyGraph, match=_exactly("graph 't' has no nodes")):
         from_json(ok.replace(b'"ops":["sub","sub"]', b'"ops":[]'))
-
-
-_V2_HEAD = b'{"version":2,"origin":"x","label":null,"family":null,'
 
 
 @pytest.mark.parametrize("old,new,message", [
@@ -308,29 +297,9 @@ def test_json_column_rejections(old, new, message):
         from_json(ok.replace(old, new))
 
 
-@pytest.mark.parametrize("body,message", [
-    # True == 1, so a plain comparison with range(n) would let this through
-    (b'"nodes":[{"id":0,"op":"a"},{"id":true,"op":"b"}],"edges":[]}',
-     "node ids must be 0..n-1 in order"),
-    (b'"nodes":[{"id":1,"op":"a"},{"id":0,"op":"b"}],"edges":[]}',
-     "node ids must be 0..n-1 in order"),
-    (b'"nodes":[{"id":0}],"edges":[]}', "nodes must be objects with id, op"),
-    (b'"nodes":[[0,"a"]],"edges":[]}', "nodes must be objects with id, op"),
-    (b'"nodes":{},"edges":[]}', "nodes must be an array"),
-    (b'"nodes":[{"id":0,"op":"a"}],"edges":[{"src":0,"kind":"data"}]}',
-     "edges must be objects with src, dst, kind"),
-    (b'"nodes":[{"id":0,"op":"a"}],"edges":[{"src":0,"dst":1,"kind":"data"}]}',
-     "edge endpoint out of range: (0, 1, 'data')"),
-], ids=["id_true", "ids_out_of_order", "node_without_op", "node_not_object",
-        "nodes_not_array", "edge_without_dst", "edge_out_of_range"])
-def test_json_version_2_rejections(body, message):
-    with pytest.raises(GraphFormatError, match=_exactly(message)):
-        from_json(_V2_HEAD + body)
-
-
-@pytest.mark.parametrize("version", [b"true", b"1.0", b"2.0", b'"2"', b"null"])
-def test_json_version_must_be_the_integer_1_or_2(version):
-    """The version must be exactly the integer 1, 2 or 3."""
+@pytest.mark.parametrize("version", [b"true", b"1.0", b"2.0", b"3.0", b'"2"', b"null", b"1", b"2"])
+def test_json_version_must_be_the_integer_3(version):
+    """The version must be exactly the integer 3: versions 1 and 2 are not read."""
     ok = to_json(_labeled("%3 = sub i32 %1, %2\n%5 = sub i32 %3, %4"))
     message = f"unsupported graph version {json.loads(version)!r}"
     with pytest.raises(VersionMismatch, match=_exactly(message)):
@@ -339,8 +308,8 @@ def test_json_version_must_be_the_integer_1_or_2(version):
 
 @pytest.mark.parametrize("doc,detail", [
     (b"[" * 100_000 + b"]" * 100_000, "maximum recursion depth exceeded"),
-    (b'{"version":1,"origin":"x","label":null,"family":null,"nodes":[],"edges":[],'
-     b'"id":1' + b"0" * 5000 + b"}", "Exceeds the limit"),
+    (b'{"version":3,"origin":"x","label":null,"family":null,"ops":[],"src":[],"dst":[],'
+     b'"kind":[],"id":1' + b"0" * 5000 + b"}", "Exceeds the limit"),
 ], ids=["deep_nesting", "long_number"])
 def test_json_too_deep_or_too_long_is_a_format_error(doc, detail):
     with pytest.raises(GraphFormatError, match=f"^not valid JSON: .*{detail}"):
@@ -356,35 +325,15 @@ _JSON_VALUES = st.recursive(
     max_leaves=8)
 
 
-def _version_2(obj):
-    """The version 2 form of a version 3 document: one object per node and per edge."""
-    head = {key: obj[key] for key in ("origin", "label", "family")}
-    return {"version": 2, **head,
-            "nodes": [{"id": i, "op": op} for i, op in enumerate(obj["ops"])],
-            "edges": [{"src": s, "dst": d, "kind": k}
-                      for s, d, k in zip(obj["src"], obj["dst"], obj["kind"])]}
-
-
 @st.composite
 def _mutated_document(draw):
-    """A valid version 3 or 2 document with a few values replaced or deleted.
-
-    Version 3 mutations hit whole columns (top-level keys) and single column
-    elements; version 2 mutations hit node and edge objects.
-    """
+    """A valid document with a few values replaced or deleted: whole columns
+    (top-level keys) and single column elements."""
     obj = json.loads(to_json(_labeled(
         "%a = add i32 %x, %y\n%b = load i64, i64* %a\nstore i64 %b, i64* %a\nret i64 %b")))
-    v2 = draw(st.booleans())
-    if v2:
-        obj = _version_2(obj)
-    parts = ("nodes", "edges") if v2 else ("ops", "src", "dst", "kind")
     for _ in range(draw(st.integers(1, 4))):
-        where = draw(st.sampled_from(["top", *parts]))
+        where = draw(st.sampled_from(["top", "ops", "src", "dst", "kind"]))
         target = obj if where == "top" else obj.get(where)
-        if where != "top" and v2:  # one node or edge object
-            if not isinstance(target, list) or not target:
-                continue
-            target = target[draw(st.integers(0, len(target) - 1))]
         if isinstance(target, dict):
             key = draw(st.sampled_from(sorted(target) + ["extra"]))
             if draw(st.booleans()):

@@ -20,8 +20,8 @@ from malgraph.pipeline import (
 from malgraph.sage import ArchConfig, init_params, load_model, save_model
 
 GRAPH_DOC = json.dumps({
-    "version": 2, "origin": "", "label": None, "family": None,
-    "nodes": [{"id": 0, "op": "add"}], "edges": []})
+    "version": 3, "origin": "", "label": None, "family": None,
+    "ops": ["add"], "src": [], "dst": [], "kind": []})
 
 # reader, file name, the detail a 0xe9 byte on line 2 gives: every reader
 # decodes UTF-8 before parsing, so each reports the line

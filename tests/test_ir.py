@@ -241,6 +241,46 @@ def test_invoke_and_landingpad_continuation_lines_make_no_node():
     assert build_graph(unit).edge_index.T.tolist() == [[0, 1], [2, 3], [3, 4]]
 
 
+def test_quoted_block_labels_make_no_node():
+    """Every line that ends in `:` once its comment is cut is a block label,
+    quoted as LLVM prints a label that holds a space or a `:`, or not."""
+    text = ('define i32 @f(i32 %n) {\n'
+            '  br label %"odd block"\n'
+            '"odd block":                ; preds = %0\n'
+            '  %m = sub i32 0, %n\n'
+            '  br label %"a:b"\n'
+            '"a:b":\n'
+            '  br label %3\n'
+            '3:                          ; preds = %"a:b"\n'
+            '  ret i32 %m\n'
+            '}\n')
+    assert rows(parse_trace(text, "t")) == [
+        ("br", None, regs("f", '"odd block"'), None),
+        ("sub", ("m", "f"), regs("f", "n"), None),
+        ("br", None, regs("f", '"a:b"'), None),
+        ("br", None, regs("f", "3"), None),
+        ("ret", None, regs("f", "m"), None),
+    ]
+
+
+def test_module_asm_makes_no_node():
+    text = 'module asm "nop"\nmodule asm ".globl x"\n%x = add i32 %a, %b\nret i32 %x\n'
+    assert parse_trace(text, "t").opcodes == ("add", "ret")
+
+
+@pytest.mark.parametrize("name,nodes,edges,calls", [
+    ("typed", 7, 6, 2),
+    ("switch", 6, 3, 1),
+    ("quoted", 3, 2, 0),
+    ("module_asm", 6, 3, 0),
+])
+def test_ll_fixtures_compile_to_their_counts(name, nodes, edges, calls):
+    """The committed `.ll` modules, which CI's console smoke also compiles
+    and scores, give their pinned node, edge and call counts."""
+    g = build_graph(parse_trace((FIXTURES / f"{name}.ll").read_text(), name))
+    assert (g.num_nodes, g.num_edges, g.ops.count("call")) == (nodes, edges, calls)
+
+
 def test_callbr_continues_and_funclet_instructions_stay():
     """callbr's labels continue on a `to` line as invoke's do; a `filter`
     clause is skipped, and the instructions whose names begin like a clause

@@ -423,18 +423,13 @@ def test_vocab_scope_guards_leakage(tmp_path):
     special.write_text(MAL_TRACE + "%z = xor i32 %a, %b\n")
 
     cfg = TrainConfig(arch=SMALL_ARCH, epochs=1, seed=11, batch_size=4)
-    r_train = train(manifest, cfg, vocab_scope="train")
-    r_all = train(manifest, cfg, vocab_scope="all")
+    r_train = train(manifest, cfg)
 
     train_m, _ = split(manifest, cfg.split_fraction, cfg.seed)
     in_train_split = any(e.path == "m0.trace" for e in train_m.entries)
     assert ("xor" in r_train.vocab.names) == in_train_split
-    assert "xor" in r_all.vocab.names
     if not in_train_split:
         assert r_train.vocab.index_of("xor") == 0
-
-    with pytest.raises(ValueError):
-        train(manifest, cfg, vocab_scope="everything")
 
 
 def test_train_config_validation():

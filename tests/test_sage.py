@@ -942,6 +942,34 @@ def test_model_rejections(tmp_path):
         load_model(p)
 
 
+def _set_sage_w(weights, value):
+    weights["sage_W"][1][2][0] = value
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda w: w.update(out_b="0.5"),
+    lambda w: w.update(out_W=[True, "1e-3", 0.0]),
+    lambda w: w.update(out_W=[1, False, 0.0]),
+    lambda w: _set_sage_w(w, "0.25"),
+], ids=["out_b_string", "out_W_bool_and_string", "out_W_bool", "sage_W_string"])
+def test_model_tensors_must_hold_json_numbers(mutate):
+    """numpy would read "0.5" as 0.5 and true as 1.0; the reader takes only
+    JSON numbers, as the graph reader checks exact element types."""
+    obj = json.loads(model_to_json(init_params(SMALL, 13), VOCAB5))
+    mutate(obj["weights"])
+    with pytest.raises(GraphFormatError,
+                       match=r"^tensor '(out_b|out_W|sage_W\.1)' must hold only numbers$"):
+        model_from_json(json.dumps(obj))
+
+
+def test_model_tensors_read_integers_as_numbers():
+    obj = json.loads(model_to_json(init_params(SMALL, 13), VOCAB5))
+    obj["weights"]["out_W"] = [1, -2, 0]
+    obj["weights"]["out_b"] = 3
+    params, _ = model_from_json(json.dumps(obj))
+    assert params.out_W.tolist() == [1.0, -2.0, 0.0] and float(params.out_b) == 3.0
+
+
 def test_model_json_keeps_fixed_arch_keys():
     # model files carry both neighbour keys at their one supported value;
     # a file without them loads the same
