@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import json
 import math
 import sys
@@ -90,15 +89,8 @@ def cmd_compile(args) -> int:
         if target in targets:
             raise MalgraphError(f"{targets[target]} and {path} would both write {target}")
         targets[target] = path
-    graphs = []
-    for path in files:
-        g = read_graph(path, control_edges=args.control_edges,
-                       memory_edges=args.mem_deps)
-        graphs.append(dataclasses.replace(
-            g,
-            label=g.label if args.label is None else args.label,
-            family=g.family if args.family is None else args.family,
-        ))
+    graphs = [read_graph(path, control_edges=args.control_edges, memory_edges=args.mem_deps)
+              for path in files]
     make_dir(out_dir)
     for (target, path), g in zip(targets.items(), graphs):
         save_graph(g, target)
@@ -199,10 +191,11 @@ def cmd_features(args) -> int:
         manifest = load_manifest(args.manifest)
         graphs = load_dataset(manifest)
         origins = [e.path for e in manifest.entries]
+        labels = [e.label for e in manifest.entries]
     else:
         graphs = [read_graph(p) for p in args.graphs]
         origins = [str(p) for p in args.graphs]
-    labels = [g.label for g in graphs]
+        labels = [None] * len(graphs)  # a graph file carries no label
     feats = [topo_features(g) for g in graphs]
     text = export_features_csv(zip(origins, labels, feats))
     if args.csv:
@@ -228,10 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="add branch-to-successor edges")
     p.add_argument("--mem-deps", action="store_true",
                    help="add store-to-load edges from address annotations")
-    p.add_argument("--label", type=int, choices=(0, 1), default=None,
-                   help="attach a class label to every output graph")
-    p.add_argument("--family", default=None,
-                   help="attach a family name to every output graph")
     p.set_defaults(fn=cmd_compile)
 
     p = sub.add_parser("corpus", help="generate a labeled synthetic corpus")

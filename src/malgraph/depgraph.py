@@ -11,13 +11,15 @@ aggregator (Hamilton et al. 2017) reads neighbours unweighted.
 The JSON interchange format written here is version 3: one line that holds the
 graph in columns, as the program does, so the reader checks whole columns::
 
-    {"version":3,"origin":"...","label":0|1|null,"family":"..."|null,
-     "ops":["add",...],"src":[0,...],"dst":[1,...],"kind":["data",...]}
+    {"version":3,"origin":"...","ops":["add",...],"src":[0,...],"dst":[1,...],
+     "kind":["data",...]}
 
 It is canonical (edges sorted by (src, dst, kind), fixed key order and
-separators): equal graphs give identical bytes.  The reader takes version 3
-only; extra keys are not read.  A file of an older version is made again by
-compiling its trace.
+separators): equal graphs give identical bytes.  A graph carries no class
+label or family: those live in the manifest alone.  The reader takes version
+3 only; extra keys are not read, such as the ``label`` and ``family`` of older
+version 3 files.  A file of an older version is made again by compiling its
+trace.
 """
 
 from __future__ import annotations
@@ -54,8 +56,6 @@ class DepGraph:
     ops: tuple[str, ...]
     edge_index: np.ndarray
     edge_kind: np.ndarray
-    label: int | None = None
-    family: str | None = None
     origin: str = ""
 
     @property
@@ -129,8 +129,7 @@ _COLUMNS = {"ops": str, "src": int, "dst": int, "kind": str}  # and their elemen
 def to_json(g: DepGraph) -> bytes:
     """Canonical serialization; equal graphs give identical bytes."""
     src, dst = g.edge_index.tolist()
-    return json.dumps({"version": 3, "origin": g.origin, "label": g.label, "family": g.family,
-                       "ops": g.ops, "src": src, "dst": dst,
+    return json.dumps({"version": 3, "origin": g.origin, "ops": g.ops, "src": src, "dst": dst,
                        "kind": [EDGE_KINDS[k] for k in g.edge_kind.tolist()]},
                       separators=(",", ":")).encode("utf-8")
 
@@ -150,16 +149,11 @@ def from_json(data) -> DepGraph:
     version = obj.get("version")
     if type(version) is not int or version != 3:  # not true, not 3.0
         raise VersionMismatch(f"unsupported graph version {version!r}")
-    for key in ("origin", "label", "family", *_COLUMNS):
+    for key in ("origin", *_COLUMNS):
         _require(key in obj, f"missing field {key!r}")
 
     origin = obj["origin"]
     _require(isinstance(origin, str), "origin must be a string")
-    label = obj["label"]
-    _require(label is None or (type(label) is int and label in (0, 1)),
-             "label must be 0, 1 or null")
-    family = obj["family"]
-    _require(family is None or isinstance(family, str), "family must be a string or null")
     for key, kind in _COLUMNS.items():  # exact element types, so true and 1.0 fail
         _require(isinstance(obj[key], list) and set(map(type, obj[key])) <= {kind},
                  f"{key} must be an array of {'integers' if kind is int else 'strings'}")
@@ -181,8 +175,7 @@ def from_json(data) -> DepGraph:
         pair, k = divmod(int(keys[same[0]]), 3)
         raise GraphFormatError(f"duplicate edge {(*divmod(pair, n), EDGE_KINDS[k])!r}")
     edge_index, edge_kind = _edge_columns(keys, n)
-    return DepGraph(ops=tuple(ops), edge_index=edge_index, edge_kind=edge_kind,
-                    label=label, family=family, origin=origin)
+    return DepGraph(ops=tuple(ops), edge_index=edge_index, edge_kind=edge_kind, origin=origin)
 
 
 def save_graph(g: DepGraph, path):

@@ -25,9 +25,11 @@ stands among any calling convention and attributes and before a
 constant-expression or ``asm`` callee.
 
 A register name may be quoted, ``%"x y"``, as LLVM prints a name that holds a
-space, a ``:`` or an escape; destinations, sources and named types
+space, a ``:``, a ``;`` or an escape; destinations, sources and named types
 (``%"class.std::a b" = type ...``) read it as written, quotes kept.  LLVM
-quotes only the names that need it, so each name has one written form.
+quotes only the names that need it, so each name has one written form.  A
+comment starts at the first ``;`` outside a quoted name, and ``addr=`` is read
+from the comment alone.
 
 ``define ... @name(...) {`` and ``}`` delimit a function, whose registers form
 their own scope, keyed by the name as written (``@"odd name"`` gives the
@@ -94,6 +96,8 @@ _LINE_RE = re.compile(rf"(?:{_REG}\s*=\s*)?(?i:(?:must|no)?tail\s+(?=call\b(?!\.
                       r"([a-z][\w.]*)\b\s*(.*)")
 _DEST_RE = re.compile(rf"^{_REG}\s*=\s*(.*)$")
 _ADDR_ANNOT = re.compile(r";\s*addr=0x([0-9a-fA-F]+)\s*$")
+# the text before a line's comment, where a quoted name may hold a `;`
+_CODE_RE = re.compile(r'(?:[^";]+|"[^"]*"?)*')
 # a function name, quoted (`@"odd name"`) or not; scopes key names as written
 _DEFINE_RE = re.compile(r'^define\b.*?@("[^"]*"|[\w.$-]+)\s*\((.*?)\)')
 
@@ -139,12 +143,14 @@ def parse_trace(text: str, origin) -> TraceUnit:
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         addr = None
-        if ";" in raw:
-            m = _ADDR_ANNOT.search(raw)
+        cut = raw.find(";")
+        if cut >= 0:
+            if raw.find('"', 0, cut) >= 0:
+                cut = _CODE_RE.match(raw).end()
+            m = _ADDR_ANNOT.search(raw, cut)
             if m:
                 addr = int(m.group(1), 16)
-                raw = raw[: m.start()]
-            raw = raw.split(";", 1)[0]
+            raw = raw[:cut]
         line = raw.strip()
         if not line:
             continue

@@ -3,8 +3,8 @@
 A manifest (JSON Lines: ``{"path":...,"label":0|1,"family":"..."}`` per line)
 names the dataset; paths resolve relative to the manifest's directory and may
 point at graph JSON documents, ``.ll`` files, or raw trace files — the latter
-two are parsed and built into graphs on load.  Manifest label/family always
-override whatever the graph file carries.
+two are parsed and built into graphs on load.  Labels and families come from
+the manifest alone: a graph carries neither.
 
 Training follows the usual protocol: stratified 80/20 split, vocabulary built
 from the training split only, shuffled mini-batches with adaptive-moment
@@ -73,6 +73,14 @@ class ManifestEntry:
     label: int
     family: str
 
+    def __post_init__(self):
+        if not isinstance(self.path, str) or not self.path:
+            raise ValueError(f"bad path {self.path!r}")
+        if type(self.label) is not int or self.label not in (0, 1):  # not True
+            raise ValueError(f"bad label {self.label!r}")
+        if not isinstance(self.family, str) or not self.family:
+            raise ValueError(f"bad family {self.family!r}")
+
 
 @dataclass(frozen=True)
 class Manifest:
@@ -83,11 +91,6 @@ class Manifest:
         paths = [e.path for e in self.entries]
         if len(set(paths)) != len(paths):
             raise ValueError("manifest paths must be unique")
-        for e in self.entries:
-            if e.label not in (0, 1) or type(e.label) is not int:
-                raise ValueError(f"label must be 0 or 1: {e!r}")
-            if not e.family:
-                raise ValueError(f"family must be nonempty: {e!r}")
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -109,14 +112,10 @@ def _parse_manifest(text: str, base_dir: str) -> Manifest:
             raise GraphFormatError(f"line {line_no}: not valid JSON: {e}") from None
         if not isinstance(obj, dict):
             raise GraphFormatError(f"line {line_no}: expected an object")
-        p, label, family = obj.get("path"), obj.get("label"), obj.get("family")
-        if not isinstance(p, str) or not p:
-            raise GraphFormatError(f"line {line_no}: bad path {p!r}")
-        if type(label) is not int or label not in (0, 1):
-            raise GraphFormatError(f"line {line_no}: bad label {label!r}")
-        if not isinstance(family, str) or not family:
-            raise GraphFormatError(f"line {line_no}: bad family {family!r}")
-        entries.append(ManifestEntry(p, label, family))
+        try:
+            entries.append(ManifestEntry(obj.get("path"), obj.get("label"), obj.get("family")))
+        except ValueError as e:
+            raise GraphFormatError(f"line {line_no}: {e}") from None
     try:
         return Manifest(entries=tuple(entries), base_dir=base_dir)
     except ValueError as e:
@@ -170,10 +169,8 @@ def read_graph(path, *, control_edges: bool = False,
 
 
 def load_dataset(manifest: Manifest) -> list:
-    """All graphs of a manifest, in manifest order, labelled by the manifest."""
-    return [dataclasses.replace(read_graph(manifest.resolve(e)),
-                                label=e.label, family=e.family)
-            for e in manifest.entries]
+    """All graphs of a manifest, in manifest order; labels stay in the manifest."""
+    return [read_graph(manifest.resolve(e)) for e in manifest.entries]
 
 
 def split(manifest: Manifest, fraction: float, seed: int):
@@ -302,13 +299,6 @@ def _labels_of(manifest: Manifest) -> np.ndarray:
     return np.asarray([e.label for e in manifest.entries], dtype=float)
 
 
-def _require_both_classes(manifest: Manifest, which: str):
-    labels = {e.label for e in manifest.entries}
-    if labels != {0, 1}:
-        raise TooFewSamples(
-            f"{which} split must contain both classes, got labels {sorted(labels)}")
-
-
 def train(manifest: Manifest, cfg: TrainConfig) -> TrainResult:
     """Split, build vocabulary, train for cfg.epochs, and record history.
 
@@ -317,8 +307,9 @@ def train(manifest: Manifest, cfg: TrainConfig) -> TrainResult:
     epoch's test scores, are not finite stops the run.
     """
     train_m, test_m = split(manifest, cfg.split_fraction, cfg.seed)
-    _require_both_classes(train_m, "train")
-    _require_both_classes(test_m, "test")
+    labels = {e.label for e in test_m.entries}  # split gives the train split both classes
+    if labels != {0, 1}:
+        raise TooFewSamples(f"test split must contain both classes, got labels {sorted(labels)}")
 
     train_graphs = load_dataset(train_m)
     test_graphs = load_dataset(test_m)

@@ -34,9 +34,9 @@ def columns(ops, edges, **meta):
                     **meta)
 
 
-def make_graph(n, pairs, label=None, family=None, ops=None, origin="mem"):
+def make_graph(n, pairs, ops=None, origin="mem"):
     return columns(ops or ["add"] * n, [(u, v, "data") for u, v in sorted(set(pairs))],
-                   label=label, family=family, origin=origin)
+                   origin=origin)
 
 
 def undirected_sets(n, pairs):
@@ -335,7 +335,7 @@ def test_vocab_order_insensitive(opslists, rnd):
 
 def test_encode_lookup_and_unknown():
     vocab = OpVocabulary(("<unk>", "load", "sub"))
-    g = make_graph(2, [(0, 1)], ops=["sub", "sub"], label=1, family="worm")
+    g = make_graph(2, [(0, 1)], ops=["sub", "sub"])
     s = encode(g, vocab)
     assert s.node_ops == (2, 2)
     assert s.edge_index.tolist() == [[0], [1]]

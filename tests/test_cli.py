@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import os
@@ -19,12 +18,16 @@ TWO_LINE_TRACE = "%1 = add i64 %in, %in\n%2 = mul i64 %1, %1\n"
 SMALL_LL = ("define i32 @f(i32 %x) {\n  %a = mul i32 %x, %x\n"
             "  store i32 %a, i32* %p ; addr=0x8\n  %b = load i32, i32* %p ; addr=0x8\n"
             "  ret i32 %b\n}\n")
+# TWO_LINE_TRACE compiled from t.trace, as the program wrote it when a graph
+# document carried a label and family (here from `--label 1 --family worm`)
+LABELED_DOC = ('{"version":3,"origin":"t.trace","label":1,"family":"worm",'
+               '"ops":["add","mul"],"src":[0],"dst":[1],"kind":["data"]}')
 
 
 def graph_doc(ops, pairs):
     """Graph JSON of nodes `ops` joined by the data edges `pairs`."""
     return json.dumps({
-        "version": 3, "origin": "", "label": None, "family": None, "ops": ops,
+        "version": 3, "origin": "", "ops": ops,
         "src": [s for s, _ in pairs], "dst": [d for _, d in pairs], "kind": ["data"] * len(pairs)})
 
 
@@ -137,11 +140,9 @@ def test_compile_non_utf8_exits_1(tmp_path, capsys):
 def test_compile_writes_the_graph_read_graph_builds(tmp_path, capsys, name, text):
     src = tmp_path / name
     src.write_text(text)
-    code, _, _ = run(["compile", src, "--out", tmp_path / "out", "--label", "1",
-                      "--family", "worm", "--mem-deps"], capsys)
+    code, _, _ = run(["compile", src, "--out", tmp_path / "out", "--mem-deps"], capsys)
     assert code == 0
-    g = dataclasses.replace(pipeline.read_graph(src, memory_edges=True),
-                            label=1, family="worm")
+    g = pipeline.read_graph(src, memory_edges=True)
     assert (tmp_path / "out" / "u.json").read_bytes() == to_json(g)
 
 
@@ -163,14 +164,20 @@ def test_compile_graph_json_writes_canonical_bytes(tmp_path, capsys):
     assert (tmp_path / "c" / "t.json").read_bytes() == canonical
 
 
-def test_compile_attaches_label_and_family(tmp_path, capsys):
-    src = tmp_path / "t.trace"
-    src.write_text(TWO_LINE_TRACE)
-    code, _, _ = run(["compile", src, "--out", tmp_path, "--label", "1",
-                      "--family", "worm"], capsys)
-    assert code == 0
-    doc = json.loads((tmp_path / "t.json").read_text())
-    assert doc["label"] == 1 and doc["family"] == "worm"
+def test_compile_writes_no_label_or_family(tmp_path, capsys, monkeypatch):
+    """Labels and families live in the manifest alone: a compiled graph has
+    neither, and a document that carries them compiles to the bytes its trace
+    compiles to, the two keys read as extra keys."""
+    monkeypatch.chdir(tmp_path)
+    Path("t.trace").write_text(TWO_LINE_TRACE)
+    Path("old").mkdir()
+    Path("old/t.json").write_text(LABELED_DOC)
+    assert run(["compile", "t.trace", "--out", "new"], capsys)[0] == 0
+    doc = json.loads(Path("new/t.json").read_text())
+    assert "label" not in doc and "family" not in doc
+    assert json.loads(LABELED_DOC) == {**doc, "label": 1, "family": "worm"}
+    assert run(["compile", "old/t.json", "--out", "again"], capsys)[0] == 0
+    assert Path("again/t.json").read_bytes() == Path("new/t.json").read_bytes()
 
 
 def test_compile_edge_flags_add_edges(tmp_path, capsys):
@@ -226,9 +233,9 @@ def test_compile_ignores_type_tokens(tmp_path, capsys, monkeypatch):
 # name order.  Generation and compilation are pure Python and each graph's
 # origin is the relative input path, so the digest holds on every machine.
 COMPILE_GOLDEN = {
-    (): "97a251d8d80d3ecdd746b0d899560a580743d5aa9a91ee9648ed9edddf92630e",
+    (): "d65ba61139660eb4185561f3d942ffd6a089ea1d54209647f0c760c09d20de19",
     ("--control-edges", "--mem-deps"):
-        "ca5c5d3661b1c88ca92aaf9d9b602b3b29cc7862d822db6012f89bdc517e7b60",
+        "0dd827dcc1bcec11899543d21bcde6c2482d3298e7481ceb7fa402280bceb1b4",
 }
 
 
@@ -671,6 +678,15 @@ def test_features_p3_row(tmp_path, capsys):
     assert lines[1] == f"{path},,3,2,0.666667,0.777778,0.333333"
 
 
+def test_features_of_a_labeled_document_leave_the_label_empty(tmp_path, capsys):
+    """A label comes from a manifest only, not from a graph file that carries one."""
+    path = tmp_path / "t.json"
+    path.write_text(LABELED_DOC)
+    code, out, _ = run(["features", path], capsys)
+    assert code == 0
+    assert out.splitlines()[1] == f"{path},,2,1,1.000000,1.000000,0.000000"
+
+
 def test_features_trace_row_matches_its_compiled_json(tmp_path, capsys):
     src = tmp_path / "p3.trace"
     src.write_text("%a = add i32 %x, %x\n%b = mul i32 %a, %a\n%c = xor i32 %b, %b\n")
@@ -748,7 +764,7 @@ def test_only_a_model_loads_scipy_sparse(tmp_path):
 # ---------------------------------------------------------------- help
 
 @pytest.mark.parametrize("cmd,flags", [
-    ("compile", ["--out", "--control-edges", "--mem-deps", "--label", "--family"]),
+    ("compile", ["--out", "--control-edges", "--mem-deps"]),
     ("corpus", ["--out", "--benign", "--malicious", "--seed", "--easy"]),
     ("train", ["--manifest", "--out", "--epochs", "--batch-size", "--lr",
                "--seed", "--layers", "--hidden", "--no-embedding",

@@ -116,9 +116,10 @@ def test_easy_flag_skews_vocabulary(tmp_path):
 
 def test_malicious_graphs_are_denser(tmp_path):
     man = generate(CorpusSpec(benign_count=60, malicious_count=60, seed=42), tmp_path)
-    graphs = load_dataset(man)
-    ben = np.array([2 * g.num_edges / g.num_nodes for g in graphs if g.label == 0])
-    mal = np.array([2 * g.num_edges / g.num_nodes for g in graphs if g.label == 1])
+    degree = [(2 * g.num_edges / g.num_nodes, e.label)
+              for g, e in zip(load_dataset(man), man.entries)]
+    ben = np.array([d for d, label in degree if label == 0])
+    mal = np.array([d for d, label in degree if label == 1])
     assert mal.mean() > ben.mean()
 
     # a single threshold on average degree must already beat 70% accuracy

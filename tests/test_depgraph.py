@@ -219,20 +219,35 @@ def test_graph_arrays_are_read_only():
 
 # --- interchange format -----------------------------------------------------
 
-def _labeled(text, label=1, family="worm"):
-    g = build_graph(parse_trace(text, "t"))
-    return dataclasses.replace(g, label=label, family=family)
+def _built(text):
+    return build_graph(parse_trace(text, "t"))
 
 
 def test_json_golden_bytes():
-    g = _labeled("%3 = sub i32 %1, %2\n%5 = sub i32 %3, %4")
-    golden = (b'{"version":3,"origin":"t","label":1,"family":"worm",'
-              b'"ops":["sub","sub"],"src":[0],"dst":[1],"kind":["data"]}')
+    g = _built("%3 = sub i32 %1, %2\n%5 = sub i32 %3, %4")
+    golden = b'{"version":3,"origin":"t","ops":["sub","sub"],"src":[0],"dst":[1],"kind":["data"]}'
     assert to_json(g) == golden
 
 
+def test_a_graph_has_no_label_or_family():
+    """Labels and families live in the manifest; the golden bytes above show
+    that a graph document has neither."""
+    assert [f.name for f in dataclasses.fields(depgraph.DepGraph)] == \
+        ["ops", "edge_index", "edge_kind", "origin"]
+
+
+def test_json_reads_a_label_and_family_as_extra_keys():
+    """A document written when graphs carried a label and family loads to the
+    graph without them, and writes back without them."""
+    new = to_json(_built("%3 = sub i32 %1, %2\n%5 = sub i32 %3, %4"))
+    for label, family in ((b"1", b'"worm"'), (b"null", b"null")):
+        old = (b'{"version":3,"origin":"t","label":' + label + b',"family":' + family
+               + b',"ops":["sub","sub"],"src":[0],"dst":[1],"kind":["data"]}')
+        assert to_json(from_json(old)) == new
+
+
 def test_json_roundtrip_and_canonical():
-    g = _labeled("%a = add i32 %x, %y\n%b = mul i64 %a, %a\nstore i64 %b, i64* %p")
+    g = _built("%a = add i32 %x, %y\n%b = mul i64 %a, %a\nstore i64 %b, i64* %p")
     assert edge_list(from_json(to_json(g))) == edge_list(g)
     assert to_json(from_json(to_json(g))) == to_json(g)
 
@@ -243,7 +258,6 @@ def test_json_accepts_unsorted_edges():
            b'"src":[1,0],"dst":[2,1],"kind":["data","data"],"w":[4,4]}')
     g = from_json(doc)
     assert g.edge_index.tolist() == [[0, 1], [1, 2]]
-    assert g.label is None and g.family is None
 
 
 def _exactly(message):
@@ -251,7 +265,7 @@ def _exactly(message):
 
 
 def test_json_rejections():
-    ok = to_json(_labeled("%3 = sub i32 %1, %2\n%5 = sub i32 %3, %4"))
+    ok = to_json(_built("%3 = sub i32 %1, %2\n%5 = sub i32 %3, %4"))
     with pytest.raises(VersionMismatch, match=_exactly("unsupported graph version 4")):
         from_json(ok.replace(b'"version":3', b'"version":4'))
     with pytest.raises(GraphFormatError, match=_exactly(
@@ -261,10 +275,6 @@ def test_json_rejections():
         from_json(b'{"version":3}')
     with pytest.raises(GraphFormatError, match=_exactly("missing field 'kind'")):
         from_json(ok.replace(b',"kind":["data"]', b''))
-    with pytest.raises(GraphFormatError, match=_exactly("label must be 0, 1 or null")):
-        from_json(ok.replace(b'"label":1', b'"label":true'))
-    with pytest.raises(GraphFormatError, match=_exactly("label must be 0, 1 or null")):
-        from_json(ok.replace(b'"label":1', b'"label":3'))
     with pytest.raises(GraphFormatError, match=_exactly(
             "edge endpoint out of range: (0, 9, 'data')")):
         from_json(ok.replace(b'"dst":[1]', b'"dst":[9]'))
@@ -291,7 +301,7 @@ def test_json_rejections():
 ], ids=["src_past_uint64", "src_negative", "dst_true", "src_float", "src_null",
         "unequal_lengths", "unknown_kind", "op_integer"])
 def test_json_column_rejections(old, new, message):
-    ok = to_json(_labeled("%3 = sub i32 %1, %2\n%5 = sub i32 %3, %4"))
+    ok = to_json(_built("%3 = sub i32 %1, %2\n%5 = sub i32 %3, %4"))
     assert old in ok
     with pytest.raises(GraphFormatError, match=_exactly(message)):
         from_json(ok.replace(old, new))
@@ -300,7 +310,7 @@ def test_json_column_rejections(old, new, message):
 @pytest.mark.parametrize("version", [b"true", b"1.0", b"2.0", b"3.0", b'"2"', b"null", b"1", b"2"])
 def test_json_version_must_be_the_integer_3(version):
     """The version must be exactly the integer 3: versions 1 and 2 are not read."""
-    ok = to_json(_labeled("%3 = sub i32 %1, %2\n%5 = sub i32 %3, %4"))
+    ok = to_json(_built("%3 = sub i32 %1, %2\n%5 = sub i32 %3, %4"))
     message = f"unsupported graph version {json.loads(version)!r}"
     with pytest.raises(VersionMismatch, match=_exactly(message)):
         from_json(ok.replace(b'"version":3', b'"version":' + version))
@@ -329,7 +339,7 @@ _JSON_VALUES = st.recursive(
 def _mutated_document(draw):
     """A valid document with a few values replaced or deleted: whole columns
     (top-level keys) and single column elements."""
-    obj = json.loads(to_json(_labeled(
+    obj = json.loads(to_json(_built(
         "%a = add i32 %x, %y\n%b = load i64, i64* %a\nstore i64 %b, i64* %a\nret i64 %b")))
     for _ in range(draw(st.integers(1, 4))):
         where = draw(st.sampled_from(["top", "ops", "src", "dst", "kind"]))
@@ -362,11 +372,11 @@ def test_mutated_documents_raise_only_malgraph_errors(data):
 
 
 def test_save_and_load(tmp_path):
-    g = _labeled("%a = add i32 %x, %y\n%b = mul i32 %a, %a", label=0, family=None)
+    g = _built("%a = add i32 %x, %y\n%b = mul i32 %a, %a")
     p = tmp_path / "g.json"
     save_graph(g, p)
     assert to_json(load_graph(p)) == to_json(g)
-    assert b'"label":0' in p.read_bytes()
+    assert p.read_bytes() == to_json(g)
 
     bad = tmp_path / "bad.json"
     bad.write_bytes(b"{broken")

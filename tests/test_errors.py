@@ -20,7 +20,7 @@ from malgraph.pipeline import (
 from malgraph.sage import ArchConfig, init_params, load_model, save_model
 
 GRAPH_DOC = json.dumps({
-    "version": 3, "origin": "", "label": None, "family": None,
+    "version": 3, "origin": "",
     "ops": ["add"], "src": [], "dst": [], "kind": []})
 
 # reader, file name, the detail a 0xe9 byte on line 2 gives: every reader

@@ -263,6 +263,26 @@ def test_quoted_block_labels_make_no_node():
     ]
 
 
+def test_semicolons_in_quoted_names_do_not_start_a_comment():
+    """LLVM quotes a register or block name that holds a `;`: a comment starts
+    at the first `;` outside a quoted name, and `addr=` is read from it alone."""
+    text = ('define i32 @f(i32 %n) {\n'
+            '  %"a;b" = add i32 %n, 1 ; a "quoted" comment\n'
+            '  br label %"x;y"\n'
+            '"x;y":                     ; preds = %0\n'
+            '  store i32 %"a;b", i32* %"p;q" ; addr=0x10\n'
+            '  %v = load i32, i32* %"p; addr=0x20" ; addr=0x10\n'
+            '  ret i32 %v ; addr=0x30\n'
+            '}\n')
+    assert rows(parse_trace(text, "t")) == [
+        ("add", ('"a;b"', "f"), regs("f", "n"), None),
+        ("br", None, regs("f", '"x;y"'), None),
+        ("store", None, regs("f", '"a;b"', '"p;q"'), 0x10),
+        ("load", ("v", "f"), regs("f", '"p; addr=0x20"'), 0x10),
+        ("ret", None, regs("f", "v"), None),
+    ]
+
+
 def test_module_asm_makes_no_node():
     text = 'module asm "nop"\nmodule asm ".globl x"\n%x = add i32 %a, %b\nret i32 %x\n'
     assert parse_trace(text, "t").opcodes == ("add", "ret")
@@ -273,6 +293,7 @@ def test_module_asm_makes_no_node():
     ("switch", 6, 3, 1),
     ("quoted", 3, 2, 0),
     ("module_asm", 6, 3, 0),
+    ("semicolon", 7, 6, 0),
 ])
 def test_ll_fixtures_compile_to_their_counts(name, nodes, edges, calls):
     """The committed `.ll` modules, which CI's console smoke also compiles

@@ -285,21 +285,18 @@ def _write_corpus(tmp_path, n_benign=6, n_mal=6, mal_text=MAL_TRACE):
     return Manifest(tuple(entries), str(tmp_path))
 
 
-def test_load_dataset_dispatch_and_override(tmp_path):
+def test_load_dataset_dispatch(tmp_path):
     (tmp_path / "a.trace").write_text("%a = add i32 %x, %y\n")
     (tmp_path / "b.ll").write_text(
         "define i32 @f(i32 %x) {\n  %a = mul i32 %x, %x\n  ret i32 %a\n}\n")
     g = build_graph(parse_trace("%q = sub i8 %u, %v\n%r = sub i8 %q, %u", "orig"))
-    save_graph(dataclasses.replace(g, label=0, family="container"), tmp_path / "c.json")
+    save_graph(g, tmp_path / "c.json")
 
     m = Manifest((ManifestEntry("a.trace", 0, "benign"),
                   ManifestEntry("b.ll", 1, "worm"),
                   ManifestEntry("c.json", 1, "trojan")), str(tmp_path))
     graphs = load_dataset(m)
     assert [g.num_nodes for g in graphs] == [1, 2, 2]
-    # manifest label/family override whatever the file carried
-    assert [(g.label, g.family) for g in graphs] == \
-        [(0, "benign"), (1, "worm"), (1, "trojan")]
     assert graphs[1].ops[0] == "mul"
 
 
@@ -365,7 +362,7 @@ def test_train_single_full_batch_is_one_step(tmp_path):
     arch = dataclasses.replace(cfg.arch, vocab_size=vocab.size)
     params = init_params(arch, cfg.seed)
     samples = [encode(g, vocab) for g in graphs]
-    labels = np.array([g.label for g in graphs], dtype=float)
+    labels = np.array([e.label for e in tr.entries], dtype=float)
     _, cache = forward(params, samples)
     loss, grads = backward(params, cache, labels)
     adam_step(params, grads, AdamState.zeros_like(params), 1)
